@@ -15,7 +15,6 @@ strictly below 1/k.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -35,9 +34,12 @@ class FlowNetwork:
     capacities both start at the edge capacity, so the two directions share
     one capacity (net flow in [-c, +c]).
 
-    Middle arcs carry a (base edge id, copy) tag so that path decompositions
-    can account congestion per doubled-graph edge.  A network is built once,
-    solved once.
+    Middle arcs carry a (base edge id, copy) tag, stored under both arc ids
+    of the pair, so that path decompositions can account congestion per
+    doubled-graph edge.  A selection network from ``build_network`` is built
+    once per graph and k; ``select`` re-targets it at another (L, R) by
+    rewriting the terminal capacities and restoring every residual, and
+    each selection is solved once.
     """
 
     def __init__(self, n_nodes: int, source: int, sink: int, n_base: int = 0):
@@ -50,11 +52,11 @@ class FlowNetwork:
         self.head: list[int] = []
         self.cap: list[int] = []
         self.cap0: list[int] = []
+        self.arc_tag: list[tuple[int, int] | None] = []
         self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
         self.source_arcs: list[int] = []
         self.sink_arcs: list[int] = []
         self.middle_arcs: list[int] = []
-        self.middle_tag: dict[int, tuple[int, int]] = {}
         self.A: frozenset[int] = frozenset()
         self.B: frozenset[int] = frozenset()
         self.b_A = 0
@@ -62,13 +64,11 @@ class FlowNetwork:
 
     def _add_pair(self, u: int, v: int, cap_uv: int, cap_vu: int) -> int:
         a = len(self.head)
-        self.head.append(v)
-        self.cap.append(cap_uv)
-        self.cap0.append(cap_uv)
+        self.head += (v, u)
+        self.cap += (cap_uv, cap_vu)
+        self.cap0 += (cap_uv, cap_vu)
+        self.arc_tag += (None, None)
         self.adj[u].append(a)
-        self.head.append(u)
-        self.cap.append(cap_vu)
-        self.cap0.append(cap_vu)
         self.adj[v].append(a + 1)
         return a
 
@@ -86,12 +86,45 @@ class FlowNetwork:
     def add_middle_edge(self, u: int, v: int, cap: int, tag: tuple[int, int] | None = None) -> int:
         a = self._add_pair(u, v, cap, cap)
         self.middle_arcs.append(a)
-        if tag is not None:
-            self.middle_tag[a] = tag
+        self.arc_tag[a] = self.arc_tag[a + 1] = tag
         return a
 
     def tail(self, arc: int) -> int:
         return self.head[arc ^ 1]
+
+    def select(self, L: Iterable[int], R: Iterable[int]) -> None:
+        """Re-target a ``build_network`` network at the disjoint pair (L, R).
+
+        Writes the 4n terminal capacities (b on the selected arcs, 0 on the
+        rest), restores every residual capacity, and clears the solved flag.
+        """
+        L = frozenset(L)
+        R = frozenset(R)
+        if L & R:
+            raise ValueError("L and R must be disjoint")
+        if not (L or R):
+            raise EmptySelectionError("L and R are both empty")
+        n = self.n_base
+        if min(L | R) < 0 or max(L | R) >= n:
+            raise ValueError(f"selected vertices must lie in range({n})")
+        b = self.aux.base.b
+        cap0 = self.cap0
+        # Terminal pair ids, in build_network's layout: source -> plus copy i
+        # is pair i, source -> minus copy n + i is n + i, minus copy n + i
+        # -> sink is 2n + i, plus copy i -> sink is 3n + i.
+        for i in range(n):
+            on_L = b[i] if i in L else 0
+            on_R = b[i] if i in R else 0
+            cap0[2 * i] = cap0[2 * (2 * n + i)] = on_L
+            cap0[2 * (n + i)] = cap0[2 * (3 * n + i)] = on_R
+        self.cap[:] = cap0
+        left, right = sorted(L), sorted(R)
+        self.source_arcs = [2 * i for i in left] + [2 * (n + i) for i in right]
+        self.sink_arcs = [2 * (2 * n + i) for i in left] + [2 * (3 * n + i) for i in right]
+        self.A = frozenset(left + [n + i for i in right])
+        self.B = frozenset([n + i for i in left] + right)
+        self.b_A = sum(b[i] for i in left) + sum(b[i] for i in right)
+        self.solved = False
 
 
 def build_network(aux: AuxiliaryGraph, L: Iterable[int], R: Iterable[int], k: int) -> FlowNetwork:
@@ -99,44 +132,33 @@ def build_network(aux: AuxiliaryGraph, L: Iterable[int], R: Iterable[int], k: in
 
     Source side A is the plus copies of L plus the minus copies of R; sink
     side B mirrors it.  Source/sink arcs carry the vertex weights, middle
-    edges carry w(e) * k.
+    edges carry w(e) * k.  Terminal arcs are laid out for all 2n copies
+    (source to plus copies, source to minus copies, minus copies to sink,
+    plus copies to sink), unselected ones at capacity 0, so that
+    ``FlowNetwork.select`` can re-target the network without rebuilding
+    the middle edges; every scan meets the positive-capacity arcs in the
+    order of a network holding the selected arcs alone.
     """
-    L = frozenset(L)
-    R = frozenset(R)
-    if L & R:
-        raise ValueError("L and R must be disjoint")
-    if not (L or R):
-        raise EmptySelectionError("L and R are both empty")
     if k < 1 or int(k) != k:
         raise ValueError(f"k must be a positive integer, got {k}")
-    G = aux.base
-    n = G.n
+    n = aux.base.n
     net = FlowNetwork(2 * n + 2, source=2 * n, sink=2 * n + 1, n_base=n)
-    A, B = set(), set()
-    for i in sorted(L):
-        net.add_source_arc(i, G.b[i])
-        A.add(i)
-    for i in sorted(R):
-        net.add_source_arc(n + i, G.b[i])
-        A.add(n + i)
-    for i in sorted(L):
-        net.add_sink_arc(n + i, G.b[i])
-        B.add(n + i)
-    for i in sorted(R):
-        net.add_sink_arc(i, G.b[i])
-        B.add(i)
+    for copy in range(2 * n):
+        net._add_pair(net.source, copy, 0, 0)
+    for copy in (*range(n, 2 * n), *range(n)):
+        net._add_pair(copy, net.sink, 0, 0)
     for idx, (a, bnode, w, e) in enumerate(aux.aux_edges):
         net.add_middle_edge(a, bnode, w * k, tag=(e, idx % 2))
-    net.A = frozenset(A)
-    net.B = frozenset(B)
     net.aux = aux
     net.k = int(k)
+    net.select(L, R)
     return net
 
 
 @dataclass
 class FlowAssignment:
-    """An integral feasible flow, read out of the solved network residuals."""
+    """An integral feasible flow, read out of the solved network residuals;
+    it is valid until the network is re-selected."""
 
     network: FlowNetwork
     value: int
@@ -162,29 +184,32 @@ class FlowAssignment:
 
 
 def _bfs_levels(net: FlowNetwork) -> list[int]:
+    adj, head, cap = net.adj, net.head, net.cap
     level = [-1] * net.n_nodes
     level[net.source] = 0
-    q = deque([net.source])
-    while q:
-        u = q.popleft()
-        for a in net.adj[u]:
-            v = net.head[a]
-            if net.cap[a] > 0 and level[v] < 0:
-                level[v] = level[u] + 1
-                q.append(v)
+    queue = [net.source]
+    for u in queue:  # the loop also visits the nodes appended below
+        nxt = level[u] + 1
+        for a in adj[u]:
+            if cap[a] > 0:
+                v = head[a]
+                if level[v] < 0:
+                    level[v] = nxt
+                    queue.append(v)
     return level
 
 
 def max_flow(net: FlowNetwork) -> FlowAssignment:
     """Maximum integral source-sink flow via blocking flows on level graphs.
 
-    The solve mutates the network residuals in place (one solve per network)
-    and audits itself: the residual source-side cut must have capacity equal
-    to the flow value.
+    The solve mutates the network residuals in place, so a network is solved
+    once per selection (``FlowNetwork.select`` restores it), and audits
+    itself: the residual source-side cut must have capacity equal to the
+    flow value.
     """
     if net.solved:
-        raise RuntimeError("network already solved; build a fresh one")
-    head, cap = net.head, net.cap
+        raise RuntimeError("network already solved; select() a pair before solving again")
+    adj, head, cap = net.adj, net.head, net.cap
     s, t = net.source, net.sink
     total = 0
     while True:
@@ -196,36 +221,41 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
         u = s
         while True:
             if u == t:
-                aug = min(cap[a] for a in path)
+                # The first arc of least residual is the first one saturated.
+                aug, cut = cap[path[0]], 0
+                for idx in range(1, len(path)):
+                    c = cap[path[idx]]
+                    if c < aug:
+                        aug, cut = c, idx
                 total += aug
                 for a in path:
                     cap[a] -= aug
                     cap[a ^ 1] += aug
-                for idx, a in enumerate(path):
-                    if cap[a] == 0:
-                        u = net.tail(a)
-                        del path[idx:]
-                        break
+                u = head[path[cut] ^ 1]
+                del path[cut:]
                 continue
-            advanced = False
-            while it[u] < len(net.adj[u]):
-                a = net.adj[u][it[u]]
-                v = head[a]
-                if cap[a] > 0 and level[v] == level[u] + 1:
-                    path.append(a)
-                    u = v
-                    advanced = True
+            arcs = adj[u]
+            i, end, nxt = it[u], len(arcs), level[u] + 1
+            while i < end:
+                a = arcs[i]
+                if cap[a] > 0 and level[head[a]] == nxt:
                     break
-                it[u] += 1
-            if not advanced:
-                if u == s:
-                    break
-                level[u] = -1
-                a = path.pop()
-                u = net.tail(a)
-                it[u] += 1
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(a)
+                u = head[a]
+                continue
+            if u == s:
+                break
+            level[u] = -1
+            a = path.pop()
+            u = head[a ^ 1]
+            it[u] += 1
     net.solved = True
-    X = residual_reachable(net)
+    # The last search could not reach the sink: what it reached is the
+    # residual source side.
+    X = [v for v, lv in enumerate(level) if lv >= 0]
     if cut_capacity(net, X) != total:
         raise AssertionError("max-flow/min-cut audit failed")
     return FlowAssignment(net, total)
@@ -233,16 +263,8 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
 
 def residual_reachable(net: FlowNetwork) -> frozenset[int]:
     """Nodes reachable from the source along positive residual capacity."""
-    seen = {net.source}
-    q = deque([net.source])
-    while q:
-        u = q.popleft()
-        for a in net.adj[u]:
-            v = net.head[a]
-            if net.cap[a] > 0 and v not in seen:
-                seen.add(v)
-                q.append(v)
-    return frozenset(seen)
+    level = _bfs_levels(net)
+    return frozenset(v for v, lv in enumerate(level) if lv >= 0)
 
 
 def cut_capacity(net: FlowNetwork, X: Iterable[int]) -> int:
@@ -250,11 +272,9 @@ def cut_capacity(net: FlowNetwork, X: Iterable[int]) -> int:
     X = set(X)
     if net.source not in X or net.sink in X:
         raise ValueError("X must contain the source and not the sink")
-    total = 0
-    for a in range(len(net.head)):
-        if net.cap0[a] > 0 and net.tail(a) in X and net.head[a] not in X:
-            total += net.cap0[a]
-    return total
+    head, cap0 = net.head, net.cap0
+    return sum(cap0[a] for u in X for a in net.adj[u]
+               if cap0[a] > 0 and head[a] not in X)
 
 
 def is_saturating(net: FlowNetwork, flow: FlowAssignment) -> bool:
@@ -315,31 +335,36 @@ class FlowPath:
     middle: tuple[tuple[int, int], ...]
 
 
-def _positive_flows(net: FlowNetwork) -> dict[int, int]:
-    flows: dict[int, int] = {}
-    for a in range(0, len(net.head), 2):
-        f = net.cap0[a] - net.cap[a]
+def _flow_graph(net: FlowNetwork) -> tuple[list[int], list[list[int]]]:
+    """Flow per arc id (each pair's net flow sits on the arc it runs along),
+    and each node's flow-carrying out-arcs in increasing arc id."""
+    cap0, cap, head = net.cap0, net.cap, net.head
+    flows = [0] * len(cap)
+    out: list[list[int]] = [[] for _ in range(net.n_nodes)]
+    for a in range(0, len(cap), 2):
+        f = cap0[a] - cap[a]
         if f > 0:
             flows[a] = f
+            out[head[a + 1]].append(a)
         elif f < 0:
-            flows[a ^ 1] = -f
-    return flows
+            flows[a + 1] = -f
+            out[head[a]].append(a + 1)
+    return flows, out
 
 
-def _find_cycle(net: FlowNetwork, flows: dict[int, int]) -> list[int] | None:
-    out: dict[int, list[int]] = {}
-    for a in sorted(flows):
-        out.setdefault(net.tail(a), []).append(a)
-    color = {}
-    for start in sorted(out):
-        if color.get(start):
+def _find_cycle(net: FlowNetwork, flows: list[int],
+                out: list[list[int]]) -> list[int] | None:
+    head = net.head
+    color = [0] * net.n_nodes
+    for start in range(net.n_nodes):
+        if color[start]:
             continue
         stack = [(start, 0)]
         trail: list[int] = []
         color[start] = 1
         while stack:
             node, idx = stack[-1]
-            arcs = out.get(node, ())
+            arcs = out[node]
             if idx >= len(arcs):
                 color[node] = 2
                 stack.pop()
@@ -348,14 +373,14 @@ def _find_cycle(net: FlowNetwork, flows: dict[int, int]) -> list[int] | None:
                 continue
             stack[-1] = (node, idx + 1)
             a = arcs[idx]
-            if a not in flows:
+            if not flows[a]:
                 continue
-            v = net.head[a]
-            c = color.get(v, 0)
+            v = head[a]
+            c = color[v]
             if c == 1:
                 cycle = [a]
                 for arc in reversed(trail):
-                    if net.tail(cycle[-1]) == v:
+                    if head[cycle[-1] ^ 1] == v:
                         break
                     cycle.append(arc)
                 cycle.reverse()
@@ -367,65 +392,64 @@ def _find_cycle(net: FlowNetwork, flows: dict[int, int]) -> list[int] | None:
     return None
 
 
-def _cancel_cycles(net: FlowNetwork, flows: dict[int, int]) -> None:
+def _cancel_cycles(net: FlowNetwork, flows: list[int], out: list[list[int]]) -> None:
     # Flow cycles carry no source-sink value; strip them so the remaining
     # flow graph is acyclic and walks from the source must reach the sink.
     while True:
-        cycle = _find_cycle(net, flows)
+        cycle = _find_cycle(net, flows, out)
         if cycle is None:
             return
         c = min(flows[a] for a in cycle)
         for a in cycle:
             flows[a] -= c
-            if flows[a] == 0:
-                del flows[a]
 
 
 def decompose_flow(net: FlowNetwork, flow: FlowAssignment) -> list[FlowPath]:
     """Split a feasible flow into source-to-sink paths with multiplicities.
 
     Cycles are cancelled first; paths are then peeled greedily, always
-    leaving a node along its first-added arc that still carries flow, and
-    each peel subtracts the path bottleneck.  Multiplicities sum to the flow
-    value and the number of distinct paths is at most the number of
-    flow-carrying arcs.
+    leaving a node along its lowest-id out-arc that still carries flow, and
+    each peel subtracts the path bottleneck.  Flows only decrease, so a
+    per-node pointer past the emptied out-arcs finds that arc without a
+    rescan, and the next walk keeps the prefix up to the first arc the peel
+    emptied.  Multiplicities sum to the flow value and the number of
+    distinct paths is at most the number of flow-carrying arcs.
     """
-    flows = _positive_flows(net)
-    _cancel_cycles(net, flows)
-    out: dict[int, list[int]] = {}
-    for a in sorted(flows):
-        out.setdefault(net.tail(a), []).append(a)
+    head, arc_tag = net.head, net.arc_tag
+    flows, out = _flow_graph(net)
+    _cancel_cycles(net, flows, out)
+    ptr = [0] * net.n_nodes
     paths: list[FlowPath] = []
     remaining = flow.value
+    arcs: list[int] = []
+    u = net.source
     while remaining > 0:
-        u = net.source
-        arcs: list[int] = []
         while u != net.sink:
-            nxt = None
-            for a in out.get(u, ()):
-                if flows.get(a, 0) > 0:
-                    nxt = a
-                    break
-            if nxt is None:
+            out_u = out[u]
+            i, end = ptr[u], len(out_u)
+            while i < end and not flows[out_u[i]]:
+                i += 1
+            if i == end:
                 raise AssertionError("flow walk stalled before the sink")
-            arcs.append(nxt)
-            u = net.head[nxt]
-        units = min(flows[a] for a in arcs)
+            ptr[u] = i
+            a = out_u[i]
+            arcs.append(a)
+            u = head[a]
+        units, cut = flows[arcs[0]], 0
+        for idx in range(1, len(arcs)):
+            f = flows[arcs[idx]]
+            if f < units:
+                units, cut = f, idx
         for a in arcs:
             flows[a] -= units
-            if flows[a] == 0:
-                del flows[a]
-        nodes = tuple(net.head[a] for a in arcs[:-1])
-        middle = []
-        for a in arcs[1:-1]:
-            tag = net.middle_tag.get(a)
-            if tag is None:
-                tag = net.middle_tag.get(a ^ 1)
-            if tag is not None:
-                middle.append(tag)
-        paths.append(FlowPath(nodes, units, tuple(middle)))
+        nodes = tuple([head[a] for a in arcs[:-1]])
+        middle = tuple([tag for tag in map(arc_tag.__getitem__, arcs[1:-1])
+                        if tag is not None])
+        paths.append(FlowPath(nodes, units, middle))
         remaining -= units
-    if flows:
+        u = head[arcs[cut] ^ 1]
+        del arcs[cut:]
+    if any(flows):
         raise AssertionError("leftover flow after path extraction")
     return paths
 
@@ -471,27 +495,24 @@ class DemandMultigraph:
     def copy_usage(self, base_edge: int) -> tuple[int, int]:
         return (self.usage.get((base_edge, 0), 0), self.usage.get((base_edge, 1), 0))
 
-    def merge(self, other: "DemandMultigraph") -> "DemandMultigraph":
-        if other.n != self.n:
-            raise ValueError("demand graphs live on different vertex sets")
-        pairs = dict(self.pairs)
-        for key, c in other.pairs.items():
-            pairs[key] = pairs.get(key, 0) + c
-        usage = dict(self.usage)
-        for key, c in other.usage.items():
-            usage[key] = usage.get(key, 0) + c
-        return DemandMultigraph(self.n, pairs, usage)
-
     @staticmethod
     def union(graphs: Sequence["DemandMultigraph"], n: int | None = None) -> "DemandMultigraph":
+        """Sum of the graphs' multiplicities and usage, keys in first-seen order."""
         if not graphs:
             if n is None:
                 raise ValueError("empty union needs an explicit vertex count")
             return DemandMultigraph(n)
-        merged = graphs[0]
-        for g in graphs[1:]:
-            merged = merged.merge(g)
-        return merged
+        n = graphs[0].n
+        pairs: dict[tuple[int, int], int] = {}
+        usage: dict[tuple[int, int], int] = {}
+        for g in graphs:
+            if g.n != n:
+                raise ValueError("demand graphs live on different vertex sets")
+            for key, c in g.pairs.items():
+                pairs[key] = pairs.get(key, 0) + c
+            for key, c in g.usage.items():
+                usage[key] = usage.get(key, 0) + c
+        return DemandMultigraph(n, pairs, usage)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DemandMultigraph) and self.n == other.n

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import GameFailed, RoundFail
 from .flow import (
     DemandMultigraph,
+    FlowNetwork,
     build_network,
     consistent_min_cut,
     decompose_flow,
@@ -38,7 +39,6 @@ from .flow import (
     max_flow,
 )
 from .graph import (
-    AuxiliaryGraph,
     Ratio,
     SignVector,
     WeightedGraph,
@@ -181,10 +181,13 @@ def _gram_for_round(state: MmwuState, b, params: GameParams,
     return grams, X
 
 
-def play_round(G: WeightedGraph, aux: AuxiliaryGraph, b: Sequence[int],
+def play_round(G: WeightedGraph, net: FlowNetwork, b: Sequence[int],
                params: GameParams, state: MmwuState,
                rng: np.random.Generator) -> CutFound | Matched:
     """Run one round: project, select, solve the flow, answer.
+
+    ``net`` is the game's selection network of G at k = params.k; the round
+    re-selects it for its own (L, empty).
 
     Returns CutFound with a witness sign vector when the selection is not
     well-linked at 1/k, otherwise Matched with the demand graph, its
@@ -193,7 +196,7 @@ def play_round(G: WeightedGraph, aux: AuxiliaryGraph, b: Sequence[int],
     """
     grams, X = _gram_for_round(state, b, params, rng)
     rounded = gaussian_round(grams, b, rng, params.max_attempts)
-    net = build_network(aux, rounded.L, frozenset(), params.k)
+    net.select(rounded.L, frozenset())
     flow = max_flow(net)
     if not is_saturating(net, flow):
         return CutFound(consistent_min_cut(net, flow))
@@ -228,7 +231,9 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
     b = G.b
     if rng is None:
         rng = np.random.default_rng([params.seed, 1, int(k)])
-    aux = build_auxiliary_graph(G)
+    # One network per game: the middle edges never change, and every round
+    # re-selects the terminal arcs, so the initial selection is a placeholder.
+    net = build_network(build_auxiliary_graph(G), range(G.n), (), params.k)
     state = MmwuState.initial(G.n, params.delta)
     records: list[RoundRecord] = []
     restarts_left = params.restarts
@@ -236,7 +241,7 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
     t = 1
     while t <= params.rounds:
         try:
-            outcome = play_round(G, aux, b, params, state, rng)
+            outcome = play_round(G, net, b, params, state, rng)
         except RoundFail:
             restarts_left -= 1
             if restarts_left < 0:

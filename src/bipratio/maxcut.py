@@ -116,15 +116,17 @@ def recursive_bipart(G: WeightedGraph, params: GameParams | None = None,
     params = params or GameParams(seed=seed)
     top = induced_subgraph(G, range(G.n))
     iso_left, _ = _split_isolated(top.isolated)
-    L, _, trace = _solve_level(top.graph, top.ids, 0, params, params.seed)
+    L, _, trace = _solve_level(top.graph, top.ids, 0, params, params.seed, top.graph.n)
     L = set(L) | iso_left
     value = cut_value(G, L)
     return CutResult(frozenset(L), value, tuple(trace))
 
 
 def _solve_level(G: WeightedGraph, ids: tuple[int, ...], level: int,
-                 params: GameParams, seed: int):
-    if level > len(ids):
+                 params: GameParams, seed: int, n_top: int):
+    # Every level removes at least one vertex of the top-level graph, so the
+    # depth never exceeds that graph's vertex count.
+    if level > n_top:
         raise AssertionError("recursion depth exceeded the vertex count")
     res: SweepResult = approx_bipartiteness(G, params, seed_path=(seed, 2, level))
     L_loc, R_loc, Z_loc = tripartition(res.x_best)
@@ -150,7 +152,8 @@ def _solve_level(G: WeightedGraph, ids: tuple[int, ...], level: int,
         sub_uncut = Fraction(0)
     else:
         sub_ids = tuple(ids[i] for i in sub.ids)
-        L2, R2, sub_trace = _solve_level(sub.graph, sub_ids, level + 1, params, seed)
+        L2, R2, sub_trace = _solve_level(sub.graph, sub_ids, level + 1, params, seed,
+                                         n_top)
         L2 = L2 | iso_left
         R2 = R2 | iso_right
         sub_uncut = sub_trace[0].uncut

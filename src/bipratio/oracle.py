@@ -21,6 +21,7 @@ from .flow import build_network, is_saturating, max_flow
 from .graph import Ratio, SignVector, WeightedGraph, build_auxiliary_graph
 
 _CHUNK = 3**11
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _sign_chunks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -38,14 +39,20 @@ def _sign_chunks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield codes, signs
 
 
-def _edge_arrays(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _edge_arrays(graph, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     us, vs, ws = [], [], []
     for u, v, w in graph.weighted_edges():
         us.append(u)
         vs.append(v)
         ws.append(w)
     return (np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64),
-            np.asarray(ws, dtype=np.int64))
+            np.asarray(ws, dtype=dtype))
+
+
+def _sum_dtype(bound: int):
+    """int64 when every sum and product stays within ``bound``, else exact
+    Python ints (numpy object arrays), since int64 wraps silently."""
+    return np.int64 if bound <= _INT64_MAX else object
 
 
 def brute_beta(graph, b=None) -> tuple[Ratio, SignVector]:
@@ -53,13 +60,17 @@ def brute_beta(graph, b=None) -> tuple[Ratio, SignVector]:
 
     ``graph`` may be a WeightedGraph or a DemandMultigraph (self-loops
     contribute |2 x_i|).  Limited to n <= 16; comparisons stay exact through
-    integer cross-multiplication.
+    integer cross-multiplication, in int64 while a numerator (at most
+    2 w(E)) times a denominator (at most b(V)) fits, else in Python ints.
     """
     n = graph.n
     if n > 16:
         raise TooLargeError(f"brute_beta enumerates 3^n vectors; n = {n} > 16")
-    b_arr = np.asarray(graph.b if b is None else b, dtype=np.int64)
-    us, vs, ws = _edge_arrays(graph)
+    b_list = [int(x) for x in (graph.b if b is None else b)]
+    w_total = sum(w for _, _, w in graph.weighted_edges())
+    dtype = _sum_dtype(2 * w_total * sum(b_list))
+    b_arr = np.asarray(b_list, dtype=dtype)
+    us, vs, ws = _edge_arrays(graph, dtype)
     best_num = best_den = None
     best_signs = None
     for _, signs in _sign_chunks(n):
@@ -92,15 +103,16 @@ def brute_maxcut(G: WeightedGraph) -> tuple[Ratio, frozenset[int]]:
     total = G.total_weight
     if total == 0:
         raise EmptyGraphError("max cut of an edgeless graph is undefined")
-    us, vs, ws = _edge_arrays(G)
+    dtype = _sum_dtype(total)
+    us, vs, ws = _edge_arrays(G, dtype)
     best_w = -1
     best_mask = 0
     chunk = 1 << 18
     for start in range(0, 1 << (n - 1), chunk):
         masks = np.arange(start, min(start + chunk, 1 << (n - 1)), dtype=np.int64)
-        cut = np.zeros(len(masks), dtype=np.int64)
+        cut = np.zeros(len(masks), dtype=dtype)
         for u, v, w in zip(us, vs, ws):
-            cut += w * (((masks >> int(u)) ^ (masks >> int(v))) & 1)
+            cut += w * (((masks >> int(u)) ^ (masks >> int(v))) & 1).astype(dtype, copy=False)
         idx = int(np.argmax(cut))
         if int(cut[idx]) > best_w:
             best_w = int(cut[idx])
@@ -139,9 +151,10 @@ def brute_well_linked(G: WeightedGraph, b=None, k: int = 1):
     if G.n > 7:
         raise TooLargeError(f"brute_well_linked runs 3^n max-flows; n = {G.n} > 7")
     graph = G if b is None else G.with_b(b)
-    aux = build_auxiliary_graph(graph)
+    # One network for every pair; the initial selection is a placeholder.
+    net = build_network(build_auxiliary_graph(graph), range(graph.n), (), k)
     for L, R in iter_symmetric_pairs(graph.n):
-        net = build_network(aux, L, R, k)
+        net.select(L, R)
         flow = max_flow(net)
         if not is_saturating(net, flow):
             return False, (L, R)

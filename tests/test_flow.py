@@ -221,9 +221,12 @@ def test_demand_union():
     b = DemandMultigraph(3, {(0, 1): 2, (2, 2): 1}, {(0, 0): 2})
     u = DemandMultigraph.union([a, b])
     assert u.pairs == {(0, 1): 3, (2, 2): 1}
+    assert list(u.pairs) == [(0, 1), (2, 2)]  # keys in first-seen order
     assert u.usage == {(0, 0): 3}
     assert u.degree(2) == 2
     assert DemandMultigraph.union([], n=5).n == 5
+    with pytest.raises(ValueError):
+        DemandMultigraph.union([a, DemandMultigraph(4)])
 
 
 def test_flow_value_equals_enumerated_min_cut():
@@ -246,3 +249,110 @@ def test_flow_value_equals_enumerated_min_cut():
             cap = cut_capacity(net, X)
             best = cap if best is None else min(best, cap)
         assert best == value
+
+
+def _networkx_flow_value(G, aux, L, R, k):
+    """Max-flow value of the selection network, built and solved by networkx."""
+    nx = pytest.importorskip("networkx")
+    D = nx.DiGraph()
+
+    def add(u, v, c):
+        if D.has_edge(u, v):
+            D[u][v]["capacity"] += c
+        else:
+            D.add_edge(u, v, capacity=c)
+
+    n = G.n
+    for i in L:
+        add("s", i, G.b[i])
+        add(n + i, "t", G.b[i])
+    for i in R:
+        add("s", n + i, G.b[i])
+        add(i, "t", G.b[i])
+    for a, b_node, w, _ in aux.aux_edges:
+        add(a, b_node, w * k)
+        add(b_node, a, w * k)
+    return nx.maximum_flow_value(D, "s", "t")
+
+
+def _check_paths_against_arc_flows(net, flow, paths):
+    # Each pair's net flow must be the path units routed along it plus what
+    # cycle cancellation removed: a circulation running with the flow.
+    # Replaying the peel on the routed units, every path must leave each node
+    # along its lowest-id out-arc that still carries units.
+    source_arc = {net.head[a]: a for a in net.source_arcs}
+    sink_arc = {net.tail(a): a for a in net.sink_arcs}
+    middle_arc = {net.arc_tag[a]: a for a in net.middle_arcs}
+    walks = []
+    for p in paths:
+        arcs = [source_arc[p.nodes[0]]]
+        for u, tag in zip(p.nodes, p.middle):
+            a = middle_arc[tag]
+            arcs.append(a if net.tail(a) == u else a ^ 1)
+        arcs.append(sink_arc[p.nodes[-1]])
+        assert tuple(net.head[a] for a in arcs[:-1]) == p.nodes
+        walks.append(arcs)
+    routed = [0] * len(net.head)
+    for p, arcs in zip(paths, walks):
+        for a in arcs:
+            routed[a] += p.units
+    balance = [0] * net.n_nodes
+    for a in range(0, len(net.head), 2):
+        f = flow.arc_flow(a)
+        r = routed[a] - routed[a + 1]
+        if net.arc_tag[a] is None:
+            assert r == f
+            continue
+        assert not (routed[a] and routed[a + 1])
+        assert 0 <= r * (1 if f >= 0 else -1) <= abs(f)
+        balance[net.tail(a)] -= f - r
+        balance[net.head[a]] += f - r
+    assert not any(balance)
+    for p, arcs in zip(paths, walks):
+        for a in arcs:
+            assert a == min(x for x in net.adj[net.tail(a)] if routed[x] > 0)
+        for a in arcs:
+            routed[a] -= p.units
+
+
+def test_reselected_network_matches_fresh_builds():
+    # One network re-selected for every symmetric pair must give the flows,
+    # paths and demand graphs of a fresh network per pair, and the flow value
+    # networkx finds on the same network.
+    rng = np.random.default_rng(2024)
+    for _ in range(8):
+        n = int(rng.integers(2, 7))
+        G = random_test_graph(rng, n, w_max=3, random_b=bool(rng.integers(0, 2)))
+        aux = build_auxiliary_graph(G)
+        k = int(rng.integers(1, 4))
+        shared = build_network(aux, range(n), (), k)
+        for L, R in iter_symmetric_pairs(n):
+            shared.select(L, R)
+            fresh = build_network(aux, L, R, k)
+            flow, fresh_flow = max_flow(shared), max_flow(fresh)
+            assert flow.value == fresh_flow.value == _networkx_flow_value(G, aux, L, R, k)
+            assert shared.b_A == fresh.b_A and shared.A == fresh.A and shared.B == fresh.B
+            paths = decompose_flow(shared, flow)
+            assert paths == decompose_flow(fresh, fresh_flow)
+            assert sum(p.units for p in paths) == flow.value
+            _check_paths_against_arc_flows(shared, flow, paths)
+            M, M_fresh = demand_graph(paths, shared), demand_graph(paths, fresh)
+            assert list(M.pairs.items()) == list(M_fresh.pairs.items())
+            assert list(M.usage.items()) == list(M_fresh.usage.items())
+
+
+def test_max_flow_twice_needs_select(k3):
+    aux = build_auxiliary_graph(k3)
+    net = build_network(aux, {0}, set(), 2)
+    assert max_flow(net).value == 2
+    with pytest.raises(RuntimeError):
+        max_flow(net)
+    net.select({0}, set())
+    assert max_flow(net).value == 2
+    net.select({1}, {2})
+    assert len(net.source_arcs) == len(net.sink_arcs) == 2
+    assert max_flow(net).value == max_flow(build_network(aux, {1}, {2}, 2)).value
+    with pytest.raises(EmptySelectionError):
+        net.select(set(), set())
+    with pytest.raises(ValueError):
+        net.select({0}, {0})

@@ -12,7 +12,7 @@ from bipratio import (
     induced_subgraph,
     recursive_bipart,
 )
-from bipratio.generators import planted_bipartite
+from bipratio.generators import gnp, planted_bipartite
 from bipratio.verify import random_test_graph
 
 
@@ -122,3 +122,35 @@ def test_trace_accounting_fields():
         assert level.uncut >= 0
         assert 2 * level.internal_weight + level.boundary_weight \
             == level.beta * level.volume
+
+
+def _clustered_graph(index: int) -> WeightedGraph:
+    """5-7 gnp blocks of 6-9 vertices, 0-2 bridges between neighbouring blocks."""
+    shape = np.random.default_rng([index, 5])
+    blocks = int(shape.integers(5, 8))
+    sizes = [int(shape.integers(6, 10)) for _ in range(blocks)]
+    probs = [float(shape.uniform(0.4, 0.7)) for _ in range(blocks)]
+    bridges = [int(shape.integers(0, 3)) for _ in range(blocks - 1)]
+    rng = np.random.default_rng([1, 3, index])
+    edges, offsets, offset = [], [], 0
+    for size, prob in zip(sizes, probs):
+        block = gnp(size, prob, 3, seed=int(rng.integers(2**62)))
+        edges += [(u + offset, v + offset, w) for u, v, w in block.edges]
+        offsets.append(offset)
+        offset += size
+    for i, count in enumerate(bridges):
+        for _ in range(count):
+            u = offsets[i] + int(rng.integers(sizes[i]))
+            v = offsets[i + 1] + int(rng.integers(sizes[i + 1]))
+            edges.append((u, v, int(rng.integers(1, 4))))
+    return WeightedGraph(offset, tuple(edges))
+
+
+def test_maxcut_deep_recursion_on_clustered_graph():
+    # The recursion reaches levels deeper than their own subgraphs have
+    # vertices; the depth guard must measure against the whole graph.
+    G = _clustered_graph(18)
+    assert G.n == 39
+    res = recursive_bipart(G, GameParams(seed=1))
+    assert any(level > len(t.L | t.R | t.Z) for level, t in enumerate(res.trace))
+    assert res.value == cut_value(G, res.S)

@@ -96,3 +96,18 @@ def test_iff_on_tiny_corpus():
         for k in (1, 2, 3):
             linked, _ = brute_well_linked(G, k=k)
             assert linked == (beta >= Fraction(1, k))
+
+
+def test_brute_beta_large_weights_stay_exact():
+    # 2 w(E) * b(V) is past int64 here; the minimum is x = (1, -1, 1).
+    G = WeightedGraph(3, ((0, 1, 10**10), (1, 2, 10**10), (0, 2, 1)))
+    beta, x = brute_beta(G)
+    assert beta == Fraction(1, 20000000001) == evaluate_beta(G, x)
+
+
+def test_brute_maxcut_large_weights_stay_exact():
+    # w(E) = 2^63 + 1 is past int64; the best side is the middle vertex.
+    G = WeightedGraph(3, ((0, 1, 2**62), (1, 2, 2**62), (0, 2, 1)))
+    value, S = brute_maxcut(G)
+    assert value == Fraction(2**63, 2**63 + 1)
+    assert S == frozenset({1})
