@@ -6,8 +6,8 @@ Subcommands: ``approx`` (ratio sweep), ``exact`` (brute-force oracles),
 randomized command writes byte-identical stdout; wall-clock timings are
 therefore only filled in under ``--timings``.
 
-Exit codes: 0 success, 2 input error, 3 solver failure, 4 verification
-failure.
+Exit codes: 0 success, 2 input error, 3 solver failure (an internal error
+or a failed internal audit), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,17 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .errors import BipratioError, GameFailed, GraphFormatError, TooLargeError
+from .errors import (
+    BipratioError,
+    DegreeOverflowError,
+    GameFailed,
+    GraphFormatError,
+    MalformedPathError,
+    NumericalFailure,
+    RoundFail,
+    SaturatingFlowError,
+    TooLargeError,
+)
 from .game import GameParams, approx_bipartiteness
 from .generators import complete, cycle, gnp, planted_bipartite
 from .graph import WeightedGraph, tripartition
@@ -32,6 +42,13 @@ from .verify import CHECKS, run_checks
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
+
+# Failures inside the solver, not in its input; AssertionError is what the
+# internal audits (max-flow = min-cut, demand degree law, level accounting,
+# witness re-checks) raise.
+SOLVER_FAILURES = (GameFailed, NumericalFailure, DegreeOverflowError,
+                   MalformedPathError, SaturatingFlowError, RoundFail,
+                   AssertionError)
 
 
 def fmt_ratio(fr: Fraction) -> str:
@@ -323,8 +340,9 @@ def main(argv=None) -> int:
     except (GraphFormatError, FileNotFoundError, TooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except GameFailed as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+    except SOLVER_FAILURES as exc:
+        message = " ".join(str(exc).split())
+        print(f"solver failure ({type(exc).__name__}): {message}", file=sys.stderr)
         return EXIT_SOLVER
     except BipratioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ strictly below 1/k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EmptySelectionError,
@@ -320,14 +320,14 @@ def consistent_min_cut(net: FlowNetwork, flow: FlowAssignment) -> SignVector:
     return tuple(x)
 
 
-@dataclass(frozen=True)
-class FlowPath:
+class FlowPath(NamedTuple):
     """One source-to-sink path with an integral multiplicity.
 
     ``nodes`` lists the doubled-graph nodes in order, terminals excluded, so
     nodes[0] is the entry vertex (source side) and nodes[-1] the exit vertex
     (sink side).  ``middle`` lists the traversed middle edges as
-    (base edge id, copy) tags.
+    (base edge id, copy) tags.  A named tuple, because a decomposition
+    builds one per path and a tuple is the cheapest immutable record.
     """
 
     nodes: tuple[int, ...]

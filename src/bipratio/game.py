@@ -3,15 +3,17 @@
 One game tests a single ratio guess r = 1/k.  Each round the cut player
 projects Gram vectors of the current multiplicative-weights density matrix
 onto a Gaussian direction and proposes the heavier sign class as a one-sided
-selection (L, empty).  The flow player answers with a maximum flow on the
-selection network: a shortfall yields a sign vector of ratio strictly below
-1/k (a witness, game over), a saturating flow yields a demand graph whose
-quadratic form feeds the density update.  Surviving all T rounds produces a
-certificate: the union H of the round demand graphs embeds into the input
-with congestion at most 2k per doubled edge per round (each edge serves a
-demand copy and its mirror), so its own ratio - lower bounded by half the
-smallest eigenvalue of the accumulated quadratic forms - pushes down to a
-ratio lower bound of beta(H) / (2 k T) for the input.
+selection (L, empty).  On the exact route the density matrix and its Gram
+vectors come from one eigendecomposition of the round's state, shared by
+every rounding attempt of that round.  The flow player answers with a
+maximum flow on the selection network: a shortfall yields a sign vector of
+ratio strictly below 1/k (a witness, game over), a saturating flow yields a
+demand graph whose quadratic form feeds the density update.  Surviving all
+T rounds produces a certificate: the union H of the round demand graphs
+embeds into the input with congestion at most 2k per doubled edge per round
+(each edge serves a demand copy and its mirror), so its own ratio - lower
+bounded by half the smallest eigenvalue of the accumulated quadratic forms -
+pushes down to a ratio lower bound of beta(H) / (2 k T) for the input.
 
 The sweep runs k over powers of two, upward from 1, and stops at the first
 certificate; the witness from the previous level then sits within a factor
@@ -173,8 +175,9 @@ class Matched:
 def _gram_for_round(state: MmwuState, b, params: GameParams,
                     rng: np.random.Generator) -> tuple[GramVectors, np.ndarray | None]:
     if params.gram == "exact":
+        # Both read the state's one cached eigendecomposition.
         X = density_matrix(state)
-        return exact_gram_vectors(X, b), X
+        return exact_gram_vectors(state, b), X
     grams = approx_gram_vectors(state.accumulated, state.delta, b,
                                 params.eps, params.tau, rng)
     X = density_matrix(state) if (params.record_inner and state.n <= 512) else None

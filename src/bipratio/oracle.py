@@ -78,11 +78,13 @@ def brute_beta(graph, b=None) -> tuple[Ratio, SignVector]:
         canonical = signs[np.arange(len(signs)), first] == 1
         if not canonical.any():
             continue
-        S = signs[canonical].astype(np.int64)
-        num = np.zeros(len(S), dtype=np.int64)
-        if len(ws):
-            sums = np.abs(S[:, us] + S[:, vs])
-            num = sums @ ws
+        S = signs[canonical]
+        # One row per vertex, so each edge adds |x_u + x_v| * w as a single
+        # pass over two rows, with no (rows x m) temporaries.
+        T = S.T.astype(dtype)
+        num = np.zeros(len(S), dtype=dtype)
+        for u, v, w in zip(us, vs, ws):
+            num += np.abs(T[u] + T[v]) * w
         den = np.abs(S) @ b_arr
         if best_num is None:
             best_num, best_den = int(num[0]), int(den[0])

@@ -6,9 +6,12 @@ The cut player maintains a density matrix
 
 where each F_s is the rescaled quadratic form of a demand graph,
 D_b^{-1/2} (D_M + A_M) D_b^{-1/2}.  The player needs Gram vectors of
-D_b^{-1/2} X_t D_b^{-1/2}; the exact route goes through a dense symmetric
-eigendecomposition, the sketched route through a random sign projection and
-a truncated Taylor expansion of exp(A/2) applied column by column, never
+D_b^{-1/2} X_t D_b^{-1/2}.  The exact route takes one dense symmetric
+eigendecomposition Q diag(lam) Q^T of the accumulated matrix per state
+(cached on the state): with w = exp(-delta * lam), X_t = Q diag(w / sum w) Q^T,
+and D_b^{-1/2} Q diag(sqrt(w / sum w)) is already a Gram factor, so no second
+solve is needed.  The sketched route goes through a random sign projection
+and a truncated Taylor expansion of exp(A/2) applied column by column, never
 forming a matrix power.  A Gaussian projection of the Gram vectors then
 yields the one-dimensional values that pick the next selection.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,12 +67,28 @@ def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MmwuState:
-    """Accumulated loss matrix of the multiplicative-weights iteration."""
+    """Accumulated loss matrix of the multiplicative-weights iteration.
+
+    ``eigh`` is the eigendecomposition (lam, Q) of the symmetrised
+    accumulated matrix, computed on first use and then kept, so the density
+    matrix and its Gram factor share one solve per state.
+    """
 
     n: int
     delta: float
     accumulated: np.ndarray
     t: int = 1
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return _eigh(self.accumulated)
+
+    def _weights(self) -> tuple[np.ndarray, np.ndarray]:
+        # Eigenvalues are shifted before exponentiation; normalizing by the
+        # sum cancels the shift.
+        lam, Q = self.eigh
+        y = -self.delta * lam
+        return np.exp(y - y.max()), Q
 
     @staticmethod
     def initial(n: int, delta: float) -> "MmwuState":
@@ -87,12 +107,9 @@ def sym_expm(A: np.ndarray) -> np.ndarray:
 def density_matrix(state: MmwuState) -> np.ndarray:
     """Trace-one PSD iterate exp(-delta * accumulated), normalized.
 
-    The empty state gives I/n.  Eigenvalues are shifted before
-    exponentiation; the normalization cancels the shift.
+    The empty state gives I/n.  Reads the state's cached eigendecomposition.
     """
-    lam, Q = _eigh(state.accumulated)
-    y = -state.delta * lam
-    w = np.exp(y - y.max())
+    w, Q = state._weights()
     X = (Q * w) @ Q.T / w.sum()
     return (X + X.T) / 2.0
 
@@ -116,10 +133,19 @@ class GramVectors:
         return self.vectors.shape[1]
 
 
-def exact_gram_vectors(X: np.ndarray, b) -> GramVectors:
-    """Gram decomposition of D_b^{-1/2} X D_b^{-1/2} by eigendecomposition."""
+def exact_gram_vectors(X: np.ndarray | MmwuState, b) -> GramVectors:
+    """Gram decomposition of D_b^{-1/2} X D_b^{-1/2}.
+
+    Given a matrix X, factors it by its own eigendecomposition.  Given an
+    MmwuState, X is that state's density matrix, and the rows of
+    D_b^{-1/2} Q diag(sqrt(w / sum w)) are returned straight from the
+    state's cached eigendecomposition, with no further solve.
+    """
     b = np.asarray(b, dtype=float)
     scale = 1.0 / np.sqrt(b)
+    if isinstance(X, MmwuState):
+        w, Q = X._weights()
+        return GramVectors(Q * np.sqrt(w / w.sum()) * scale[:, None], flavor="exact")
     Y = X * scale[:, None] * scale[None, :]
     lam, Q = _eigh(Y)
     lam = np.clip(lam, 0.0, None)

@@ -2,9 +2,19 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from bipratio import cli
 from bipratio.cli import main
+from bipratio.errors import (
+    DegreeOverflowError,
+    GameFailed,
+    MalformedPathError,
+    NumericalFailure,
+    RoundFail,
+    SaturatingFlowError,
+)
 from bipratio.generators import complete, cycle
 from bipratio.graphio import dump_graph
 
@@ -135,3 +145,30 @@ def test_subprocess_entry_point(k3_file):
     proc = run_cli(["exact", "--graph", k3_file])
     assert proc.returncode == 0
     assert "1/3" in proc.stdout
+
+
+
+def test_eigensolver_failure_exit_code(k3_file, capsys, monkeypatch):
+    def broken(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    assert main(["approx", "--graph", k3_file, "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("solver failure (NumericalFailure): ")
+
+
+@pytest.mark.parametrize("error", [
+    NumericalFailure, DegreeOverflowError, MalformedPathError,
+    SaturatingFlowError, RoundFail, GameFailed, AssertionError])
+def test_internal_failures_exit_code(error, k3_file, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise error("audit failed:\nsecond line")
+
+    monkeypatch.setattr(cli, "approx_bipartiteness", failing)
+    monkeypatch.setattr(cli, "recursive_bipart", failing)
+    assert main(["approx", "--graph", k3_file]) == 3
+    assert main(["maxcut", "--graph", k3_file]) == 3
+    line = f"solver failure ({error.__name__}): audit failed: second line"
+    assert capsys.readouterr().err.splitlines() == [line, line]

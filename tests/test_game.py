@@ -215,3 +215,41 @@ def test_regret_inequality_on_certificates():
                     np.zeros((G.n, G.n)))
         lam = float(np.linalg.eigvalsh(F_sum)[0])
         assert lam >= 0.5 * sum(inners) - math.log(G.n) / 0.125 - 1e-6
+
+
+def test_one_eigensolve_per_round(monkeypatch):
+    # The density matrix and the Gram vectors share the state's solve, and a
+    # round retried after a rounding failure reuses it too.
+    import bipratio.game as game
+    import bipratio.spectral as spectral
+    from bipratio.generators import gnp
+
+    solves, roundings = [], []
+    real_eigh, real_round = spectral._eigh, game.gaussian_round
+    monkeypatch.setattr(spectral, "_eigh",
+                        lambda A: solves.append(1) or real_eigh(A))
+    monkeypatch.setattr(game, "gaussian_round",
+                        lambda *a: roundings.append(1) or real_round(*a))
+    G = gnp(12, 0.5, 3, seed=4)
+    params = GameParams(seed=3, gram="exact", max_attempts=1, restarts=10**6)
+    for k in (1, 2, 64):
+        solves.clear()
+        roundings.clear()
+        out = cut_matching_game(G, k, params)
+        played = out.rounds if isinstance(out, Certificate) else out.rounds_before + 1
+        assert len(solves) == played
+        assert len(roundings) >= played
+    assert isinstance(out, Certificate) and len(roundings) > played
+
+
+def test_seeded_sweep_repeats_exactly():
+    from bipratio.generators import gnp
+
+    G = gnp(20, 0.3, 3, seed=8)
+    a = approx_bipartiteness(G, GameParams(seed=6))
+    b = approx_bipartiteness(G, GameParams(seed=6))
+    assert (a.x_best, a.beta, a.r_cert, a.games, a.flow_solves) \
+        == (b.x_best, b.beta, b.r_cert, b.games, b.flow_solves)
+    assert a.certificate.lambda_min == b.certificate.lambda_min
+    assert [r.demand.pairs for r in a.certificate.records] \
+        == [r.demand.pairs for r in b.certificate.records]

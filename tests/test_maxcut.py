@@ -9,8 +9,10 @@ from bipratio import (
     WeightedGraph,
     brute_maxcut,
     cut_value,
+    evaluate_beta,
     induced_subgraph,
     recursive_bipart,
+    sign_vector,
 )
 from bipratio.generators import gnp, planted_bipartite
 from bipratio.verify import random_test_graph
@@ -147,10 +149,27 @@ def _clustered_graph(index: int) -> WeightedGraph:
 
 
 def test_maxcut_deep_recursion_on_clustered_graph():
-    # The recursion reaches levels deeper than their own subgraphs have
-    # vertices; the depth guard must measure against the whole graph.
+    # End to end on a graph whose recursion can run many levels deep.
     G = _clustered_graph(18)
     assert G.n == 39
     res = recursive_bipart(G, GameParams(seed=1))
-    assert any(level > len(t.L | t.R | t.Z) for level, t in enumerate(res.trace))
     assert res.value == cut_value(G, res.S)
+
+
+def test_maxcut_depth_guard_counts_top_level_vertices(monkeypatch):
+    # A sweep whose witness is always the first edge peels two vertices per
+    # level, so on an 8-vertex path level 3 runs on a 2-vertex subgraph: the
+    # depth guard must measure against the whole graph, not the subgraph.
+    import bipratio.maxcut as maxcut
+    from bipratio.game import SweepResult
+
+    def first_edge_witness(G, params, seed_path):
+        u, v, _ = G.edges[0]
+        x = sign_vector(G.n, [u], [v])
+        return SweepResult(x, evaluate_beta(G, x), None, None, (), 0)
+
+    monkeypatch.setattr(maxcut, "approx_bipartiteness", first_edge_witness)
+    G = WeightedGraph(8, tuple((i, i + 1, 1) for i in range(7)))
+    res = recursive_bipart(G, GameParams(seed=0))
+    assert [len(t.L | t.R | t.Z) for t in res.trace] == [8, 6, 4, 2]
+    assert res.value == 1 == cut_value(G, res.S)

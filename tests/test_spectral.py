@@ -246,3 +246,42 @@ def test_inner_product_identity():
     for (i, j), c in pairs.items():
         total += c * float(((g.vectors[i] + g.vectors[j]) ** 2).sum())
     assert inner == pytest.approx(total, abs=1e-7)
+
+
+def _random_state(rng, n):
+    """A state with a random PSD accumulated matrix of random scale."""
+    B = rng.standard_normal((n, n))
+    return MmwuState(n, 0.125, B @ B.T * float(rng.uniform(0.1, 20.0)))
+
+
+def test_state_gram_factor_matches_matrix_route():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        n = int(rng.integers(1, 12))
+        state = _random_state(rng, n)
+        b = rng.integers(1, 6, size=n)
+        scale = 1.0 / np.sqrt(b)
+        X = density_matrix(state)
+        from_state = exact_gram_vectors(state, b)
+        from_matrix = exact_gram_vectors(X, b)
+        assert from_state.flavor == "exact" and from_state.dim == n
+        gram = from_state.vectors @ from_state.vectors.T
+        assert np.allclose(gram, X * scale[:, None] * scale[None, :],
+                           rtol=0.0, atol=1e-10)
+        assert np.allclose(gram, from_matrix.vectors @ from_matrix.vectors.T,
+                           rtol=0.0, atol=1e-10)
+
+
+def test_state_solves_once(monkeypatch):
+    import bipratio.spectral as spectral
+
+    calls = []
+    real = spectral._eigh
+    monkeypatch.setattr(spectral, "_eigh", lambda A: calls.append(1) or real(A))
+    state = _random_state(np.random.default_rng(2), 6)
+    X = density_matrix(state)
+    exact_gram_vectors(state, np.ones(6))
+    assert np.array_equal(density_matrix(state), X)
+    assert len(calls) == 1
+    density_matrix(state.advance(np.eye(6)))
+    assert len(calls) == 2
