@@ -6,8 +6,9 @@ The library revolves around four layers:
                   the doubled graph, and rational ratio evaluation.
 * ``flow``     -- selection networks, blocking-flow max-flow, consistent
                   minimum cuts, path decomposition, demand graphs.
-* ``spectral`` -- matrix multiplicative weights, exact and sketched Gram
-                  vectors, Gaussian rounding.
+* ``spectral`` -- matrix multiplicative weights, Gram vectors from the
+                  state's eigendecomposition, Gaussian rounding (plus a
+                  standalone sketched Gram construction).
 * ``game``     -- the cut-versus-matching round loop and the geometric
                   ratio sweep; ``maxcut`` builds the recursive max-cut
                   heuristic on top, ``oracle`` holds the brute-force ground

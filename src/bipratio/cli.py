@@ -98,7 +98,7 @@ def cmd_approx(args) -> int:
     seed = _seed_from(args)
     G = _load(args)
     params = GameParams(seed=seed, rounds=args.rounds, max_attempts=args.t_proj,
-                        delta=args.delta, eps=args.eps, gram=args.gram)
+                        delta=args.delta)
     t0 = time.perf_counter()
     res = approx_bipartiteness(G, params)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -146,9 +146,8 @@ def cmd_approx(args) -> int:
 
 
 def _params_json(params: GameParams) -> dict:
-    return {"delta": params.delta, "eps": params.eps, "gram": params.gram,
-            "rounds": params.rounds, "max_attempts": params.max_attempts,
-            "restarts": params.restarts}
+    return {"delta": params.delta, "rounds": params.rounds,
+            "max_attempts": params.max_attempts, "restarts": params.restarts}
 
 
 def cmd_exact(args) -> int:
@@ -186,7 +185,7 @@ def cmd_exact(args) -> int:
 def cmd_maxcut(args) -> int:
     seed = _seed_from(args)
     G = _load(args)
-    params = GameParams(seed=seed, delta=args.delta, gram=args.gram)
+    params = GameParams(seed=seed, delta=args.delta)
     t0 = time.perf_counter()
     res = recursive_bipart(G, params)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -276,16 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
         if with_solver:
             sp.add_argument("--delta", type=float, default=0.125,
                             help="multiplicative-weights step size")
-            sp.add_argument("--gram", choices=["auto", "exact", "approx"],
-                            default="auto")
 
     sp = sub.add_parser("approx", help="ratio sweep (witness + certificate)")
     add_common(sp, with_solver=True)
     sp.add_argument("--rounds", type=int, default=None, help="round cap per game")
     sp.add_argument("--t-proj", type=int, default=None,
                     help="Gaussian attempts per round")
-    sp.add_argument("--eps", type=float, default=0.25,
-                    help="sketch accuracy for --gram approx")
     sp.set_defaults(func=cmd_approx)
 
     sp = sub.add_parser("exact", help="brute-force oracles")

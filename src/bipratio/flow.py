@@ -158,10 +158,12 @@ def build_network(aux: AuxiliaryGraph, L: Iterable[int], R: Iterable[int], k: in
 @dataclass
 class FlowAssignment:
     """An integral feasible flow, read out of the solved network residuals;
-    it is valid until the network is re-selected."""
+    it is valid until the network is re-selected.  ``source_side`` holds the
+    nodes reachable from the source in the final residual network."""
 
     network: FlowNetwork
     value: int
+    source_side: frozenset[int]
 
     def arc_flow(self, arc: int) -> int:
         """Net flow in the stored direction of ``arc`` (negative = reverse)."""
@@ -255,16 +257,10 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
     net.solved = True
     # The last search could not reach the sink: what it reached is the
     # residual source side.
-    X = [v for v, lv in enumerate(level) if lv >= 0]
+    X = frozenset(v for v, lv in enumerate(level) if lv >= 0)
     if cut_capacity(net, X) != total:
         raise AssertionError("max-flow/min-cut audit failed")
-    return FlowAssignment(net, total)
-
-
-def residual_reachable(net: FlowNetwork) -> frozenset[int]:
-    """Nodes reachable from the source along positive residual capacity."""
-    level = _bfs_levels(net)
-    return frozenset(v for v, lv in enumerate(level) if lv >= 0)
+    return FlowAssignment(net, total, X)
 
 
 def cut_capacity(net: FlowNetwork, X: Iterable[int]) -> int:
@@ -294,7 +290,7 @@ def consistent_min_cut(net: FlowNetwork, flow: FlowAssignment) -> SignVector:
     """
     if is_saturating(net, flow):
         raise SaturatingFlowError("flow saturates; no cut below b(A) exists")
-    X = residual_reachable(net)
+    X = flow.source_side
     n = net.n_base
     x = [0] * n
     for i in range(n):

@@ -3,8 +3,8 @@
 One game tests a single ratio guess r = 1/k.  Each round the cut player
 projects Gram vectors of the current multiplicative-weights density matrix
 onto a Gaussian direction and proposes the heavier sign class as a one-sided
-selection (L, empty).  On the exact route the density matrix and its Gram
-vectors come from one eigendecomposition of the round's state, shared by
+selection (L, empty).  The density matrix and its Gram vectors come
+from one eigendecomposition of the round's state, shared by
 every rounding attempt of that round.  The flow player answers with a
 maximum flow on the selection network: a shortfall yields a sign vector of
 ratio strictly below 1/k (a witness, game over), a saturating flow yields a
@@ -50,9 +50,8 @@ from .graph import (
 )
 from .oracle import brute_beta
 from .spectral import (
-    GramVectors,
     MmwuState,
-    approx_gram_vectors,
+    approx_gram_vectors,  # noqa: F401 -- perfbench/tracing.py wraps this name here
     demand_matrix,
     density_matrix,
     exact_gram_vectors,
@@ -66,9 +65,8 @@ class GameParams:
     """Knobs of one game and of the surrounding sweep.
 
     Fields left as None are resolved per graph: T = max(16, ceil(9 ln^2 n))
-    rounds, max_attempts = ceil(8 ln n) + 8 Gaussian samples per round, and
-    tau = min(1/(12 n^{3/2}), 1e-9) for the sketched Gram route.  The step
-    size must satisfy 4 * delta < 1.
+    rounds and max_attempts = ceil(8 ln n) + 8 Gaussian samples per round.
+    The step size must satisfy 4 * delta < 1.
     """
 
     seed: int = 0
@@ -76,31 +74,21 @@ class GameParams:
     rounds: int | None = None
     max_attempts: int | None = None
     delta: float = 0.125
-    eps: float = 0.25
-    tau: float | None = None
-    gram: str = "auto"
     restarts: int = 3
     early_exit: bool = False
     early_exit_threshold: float = 2.0
     brute_cert_limit: int = 8
-    record_inner: bool = True
 
     def resolve(self, n: int) -> "GameParams":
         ln_n = math.log(max(n, 2))
         rounds = self.rounds if self.rounds is not None else max(16, math.ceil(9.0 * ln_n**2))
         attempts = (self.max_attempts if self.max_attempts is not None
                     else math.ceil(8.0 * ln_n) + 8)
-        tau = self.tau if self.tau is not None else min(1.0 / (12.0 * n**1.5), 1e-9)
-        gram = self.gram
-        if gram == "auto":
-            gram = "exact" if n <= 512 else "approx"
-        if gram not in ("exact", "approx"):
-            raise ValueError(f"unknown gram flavor {gram!r}")
         if not (self.k >= 1 and int(self.k) == self.k):
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if not (0.0 < self.delta and 4.0 * self.delta < 1.0):
             raise ValueError(f"step size must satisfy 0 < 4*delta < 1, got {self.delta}")
-        return replace(self, rounds=rounds, max_attempts=attempts, tau=tau, gram=gram)
+        return replace(self, rounds=rounds, max_attempts=attempts)
 
 
 @dataclass(frozen=True)
@@ -110,7 +98,7 @@ class RoundRecord:
     index: int
     side: frozenset[int]
     demand: DemandMultigraph
-    inner: float | None
+    inner: float
 
 
 @dataclass(frozen=True)
@@ -168,20 +156,8 @@ class Matched:
     side: frozenset[int]
     demand: DemandMultigraph
     F: np.ndarray
-    inner: float | None
+    inner: float
     state: MmwuState
-
-
-def _gram_for_round(state: MmwuState, b, params: GameParams,
-                    rng: np.random.Generator) -> tuple[GramVectors, np.ndarray | None]:
-    if params.gram == "exact":
-        # Both read the state's one cached eigendecomposition.
-        X = density_matrix(state)
-        return exact_gram_vectors(state, b), X
-    grams = approx_gram_vectors(state.accumulated, state.delta, b,
-                                params.eps, params.tau, rng)
-    X = density_matrix(state) if (params.record_inner and state.n <= 512) else None
-    return grams, X
 
 
 def play_round(G: WeightedGraph, net: FlowNetwork, b: Sequence[int],
@@ -197,7 +173,9 @@ def play_round(G: WeightedGraph, net: FlowNetwork, b: Sequence[int],
     quadratic form and the advanced state.  Raises RoundFail when Gaussian
     rounding exceeds its attempt budget.
     """
-    grams, X = _gram_for_round(state, b, params, rng)
+    # Both read the state's one cached eigendecomposition.
+    X = density_matrix(state)
+    grams = exact_gram_vectors(state, b)
     rounded = gaussian_round(grams, b, rng, params.max_attempts)
     net.select(rounded.L, frozenset())
     flow = max_flow(net)
@@ -212,7 +190,7 @@ def play_round(G: WeightedGraph, net: FlowNetwork, b: Sequence[int],
             raise AssertionError(
                 f"saturating round violates the demand degree law at vertex {i}")
     F = demand_matrix(M, b)
-    inner = float((F * X).sum()) if X is not None else None
+    inner = float((F * X).sum())
     return Matched(rounded.L, M, F, inner, state.advance(F))
 
 
@@ -260,9 +238,8 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
         records.append(RoundRecord(t, outcome.side, outcome.demand, outcome.inner))
         state = outcome.state
         t += 1
-        if params.early_exit and G.n <= 512:
-            if lambda_min(state.accumulated) >= params.early_exit_threshold:
-                break
+        if params.early_exit and lambda_min(state.accumulated) >= params.early_exit_threshold:
+            break
     union = DemandMultigraph.union([r.demand for r in records], n=G.n)
     lam = lambda_min(state.accumulated)
     beta_H = brute_beta(union, b)[0] if G.n <= params.brute_cert_limit else None

@@ -39,6 +39,11 @@ def loads_graph(text: str, weights_text: str | None = None) -> WeightedGraph:
         raise GraphFormatError(f"line {lineno}: header must hold two integers") from None
     if n < 1 or m < 0:
         raise GraphFormatError(f"line {lineno}: invalid header n={n} m={m}")
+    if weights_text is None and n > 2 * m:
+        # m edges touch at most 2m vertices, and default weights are degrees.
+        raise GraphFormatError(
+            f"line {lineno}: header n={n} m={m} leaves a vertex isolated; "
+            "default vertex weights are degrees, so pass explicit vertex weights")
     body = lines[1:]
     if len(body) != m:
         raise GraphFormatError(f"header promises {m} edges, file holds {len(body)}")

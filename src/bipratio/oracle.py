@@ -12,6 +12,7 @@ search by keeping only vectors whose first nonzero entry is +1.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator
 
 import numpy as np
@@ -22,21 +23,23 @@ from .graph import Ratio, SignVector, WeightedGraph, build_auxiliary_graph
 
 _CHUNK = 3**11
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_DIGIT_SIGN = np.array([0, 1, -1], dtype=np.int8)
 
 
-def _sign_chunks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (codes, signs) blocks over all nonzero ternary codes.
+def _sign_chunks(n: int) -> Iterator[np.ndarray]:
+    """Yield int8 sign blocks, one row per nonzero ternary code, in order.
 
     Code digits are read most-significant-first as vertex 0..n-1 and map
-    0 -> 0, 1 -> +1, 2 -> -1.
+    0 -> 0, 1 -> +1, 2 -> -1.  Each vertex's digit column is written straight
+    into the int8 sign array, so no (rows x n) int64 array is formed.
     """
-    powers = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
     total = 3**n
     for start in range(1, total, _CHUNK):
         codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (codes[:, None] // powers[None, :]) % 3
-        signs = np.where(digits == 1, 1, np.where(digits == 2, -1, 0)).astype(np.int8)
-        yield codes, signs
+        signs = np.empty((len(codes), n), dtype=np.int8)
+        for j in range(n):
+            signs[:, n - 1 - j] = _DIGIT_SIGN[(codes // 3**j) % 3]
+        yield signs
 
 
 def _edge_arrays(graph, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -73,7 +76,7 @@ def brute_beta(graph, b=None) -> tuple[Ratio, SignVector]:
     us, vs, ws = _edge_arrays(graph, dtype)
     best_num = best_den = None
     best_signs = None
-    for _, signs in _sign_chunks(n):
+    for signs in _sign_chunks(n):
         first = np.argmax(signs != 0, axis=1)
         canonical = signs[np.arange(len(signs)), first] == 1
         if not canonical.any():
@@ -126,20 +129,13 @@ def brute_maxcut(G: WeightedGraph) -> tuple[Ratio, frozenset[int]]:
 def iter_symmetric_pairs(n: int) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
     """All 3^n - 1 pairs of disjoint (L, R) with nonempty union.
 
-    Ternary counter over vertices: digit 0 leaves the vertex out, 1 puts it
-    in L, 2 in R.
+    Follows the ternary counter of ``_sign_chunks``: +1 puts a vertex in L,
+    -1 in R, 0 leaves it out.
     """
-    for code in range(1, 3**n):
-        L, R = [], []
-        c = code
-        for i in range(n - 1, -1, -1):
-            d = c % 3
-            c //= 3
-            if d == 1:
-                L.append(i)
-            elif d == 2:
-                R.append(i)
-        yield frozenset(L), frozenset(R)
+    vertices = range(n)
+    for signs in _sign_chunks(n):
+        for plus, minus in zip((signs == 1).tolist(), (signs == -1).tolist()):
+            yield frozenset(compress(vertices, plus)), frozenset(compress(vertices, minus))
 
 
 def brute_well_linked(G: WeightedGraph, b=None, k: int = 1):

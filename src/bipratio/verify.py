@@ -228,8 +228,6 @@ def check_regret(runs: int = 25, seed: int = 5, graph: WeightedGraph | None = No
         certs.append((G, res.certificate))
     for G, cert in certs:
         inners = [r.inner for r in cert.records]
-        if any(v is None for v in inners):
-            return False, "certificate lacks recorded inner products"
         F_sum = sum((demand_matrix(r.demand, G.b) for r in cert.records),
                     np.zeros((G.n, G.n)))
         lhs = lambda_min(F_sum)

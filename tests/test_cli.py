@@ -87,9 +87,20 @@ def test_json_schema_keys(k3_file, capsys):
     assert list(report) == ["graph", "mode", "params", "result", "timings_ms",
                             "seed", "version"]
     assert report["graph"] == {"n": 3, "m": 3, "total_weight": 3}
+    assert list(report["params"]) == ["delta", "rounds", "max_attempts", "restarts"]
     assert report["timings_ms"] == {}
     assert report["seed"] == 1
     assert report["result"]["beta"]["num"] == 1
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("approx", "--gram", "exact"), ("approx", "--eps", "0.25"),
+    ("maxcut", "--gram", "exact"), ("maxcut", "--eps", "0.25")])
+def test_no_gram_route_flags(command, flag, value, k3_file, capsys):
+    # The cut player has a single Gram route, so there is nothing to choose.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", k3_file, flag, value])
+    assert exc.value.code == 2
 
 
 def test_gen_cycle_stdout(capsys):

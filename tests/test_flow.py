@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -116,6 +117,32 @@ def test_consistent_cut_keeps_min_cut_value():
             seen += 1
             if seen >= 40:
                 break
+
+
+def test_consistent_cut_reuses_the_last_search(monkeypatch):
+    # consistent_min_cut reads the residual source side that max_flow's final
+    # search found; it runs no search of its own.
+    import bipratio.flow as flow_mod
+
+    calls = []
+    real_bfs = flow_mod._bfs_levels
+    monkeypatch.setattr(flow_mod, "_bfs_levels",
+                        lambda net: calls.append(1) or real_bfs(net))
+    rng = np.random.default_rng(7)
+    seen = 0
+    while seen < 10:
+        n = int(rng.integers(2, 7))
+        G = random_test_graph(rng, n, w_max=3, random_b=True)
+        net = build_network(build_auxiliary_graph(G), range(n), (), 1)
+        flow = max_flow(net)
+        if is_saturating(net, flow):
+            continue
+        level = real_bfs(net)
+        assert flow.source_side == {v for v, lv in enumerate(level) if lv >= 0}
+        calls.clear()
+        consistent_min_cut(net, flow)
+        assert calls == []
+        seen += 1
 
 
 def test_decompose_zero_flow(single_edge):
@@ -253,7 +280,6 @@ def test_flow_value_equals_enumerated_min_cut():
 
 def _networkx_flow_value(G, aux, L, R, k):
     """Max-flow value of the selection network, built and solved by networkx."""
-    nx = pytest.importorskip("networkx")
     D = nx.DiGraph()
 
     def add(u, v, c):

@@ -82,10 +82,7 @@ def test_round_cap_zero_attempts_fails(k3):
 
 def test_params_resolution():
     small = GameParams().resolve(16)
-    assert small.gram == "exact"
     assert small.rounds == max(16, __import__("math").ceil(9 * __import__("math").log(16) ** 2))
-    big = GameParams().resolve(1000)
-    assert big.gram == "approx"
     with pytest.raises(ValueError):
         GameParams(delta=0.3).resolve(8)  # 4 * delta >= 1
     with pytest.raises(ValueError):
@@ -159,19 +156,6 @@ def test_sweep_k_limit():
     assert sweep_k_limit(WeightedGraph(1, (), (1,))) == 1
 
 
-def test_game_with_sketched_gram(k3, single_edge):
-    # The sketched Gram route plugs into the same round loop; witnesses stay
-    # exact and certificates still record exact-density inner products.
-    out = cut_matching_game(k3, 3, GameParams(seed=4, gram="approx"))
-    assert isinstance(out, Certificate)
-    assert all(r.inner is not None for r in out.records)
-    wit = cut_matching_game(single_edge, 1, GameParams(seed=4, gram="approx"))
-    assert isinstance(wit, Witness)
-    assert wit.beta == 0
-    again = cut_matching_game(k3, 3, GameParams(seed=4, gram="approx"))
-    assert again.lambda_min == out.lambda_min
-
-
 def test_early_exit_shortens_certificates(k3):
     slow = cut_matching_game(k3, 3, GameParams(seed=2))
     fast = cut_matching_game(k3, 3, GameParams(seed=2, early_exit=True))
@@ -231,7 +215,7 @@ def test_one_eigensolve_per_round(monkeypatch):
     monkeypatch.setattr(game, "gaussian_round",
                         lambda *a: roundings.append(1) or real_round(*a))
     G = gnp(12, 0.5, 3, seed=4)
-    params = GameParams(seed=3, gram="exact", max_attempts=1, restarts=10**6)
+    params = GameParams(seed=3, max_attempts=1, restarts=10**6)
     for k in (1, 2, 64):
         solves.clear()
         roundings.clear()
@@ -240,6 +224,29 @@ def test_one_eigensolve_per_round(monkeypatch):
         assert len(solves) == played
         assert len(roundings) >= played
     assert isinstance(out, Certificate) and len(roundings) > played
+
+
+def test_large_game_factors_the_state(monkeypatch):
+    # The cut player has one route at every size: each round factors the
+    # state's own eigendecomposition, and the Taylor sketch is never called.
+    import bipratio.game as game
+    import bipratio.spectral as spectral
+    from bipratio.generators import gnp
+
+    def no_sketch(*args, **kwargs):
+        raise AssertionError("the game called the sketched Gram route")
+
+    solves = []
+    real_eigh = spectral._eigh
+    monkeypatch.setattr(spectral, "_eigh",
+                        lambda A: solves.append(1) or real_eigh(A))
+    monkeypatch.setattr(spectral, "approx_gram_vectors", no_sketch)
+    monkeypatch.setattr(game, "approx_gram_vectors", no_sketch)
+    G = gnp(520, 6 / 519, 3, seed=1)
+    out = cut_matching_game(G, 4, GameParams(seed=1, rounds=2))
+    assert isinstance(out, Certificate) and out.rounds == 2
+    assert len(solves) == 2
+    assert all(isinstance(r.inner, float) for r in out.records)
 
 
 def test_seeded_sweep_repeats_exactly():

@@ -39,3 +39,18 @@ def test_errors():
         loads_graph("3 1\n1 2 1\n")  # isolated vertex, default weights
     with pytest.raises(GraphFormatError):
         loads_graph("2 1\n1 2 1\n", "1\n")  # short weight file
+
+
+def test_impossible_header_rejected_before_allocation(monkeypatch):
+    # Without a weights file, n > 2m forces an isolated vertex; the header
+    # alone decides, so no per-vertex list is ever built.
+    import bipratio.graphio as graphio
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("WeightedGraph built for an impossible header")
+
+    monkeypatch.setattr(graphio, "WeightedGraph", no_graph)
+    with pytest.raises(GraphFormatError, match="isolated"):
+        loads_graph("1000000000 0\n")
+    with pytest.raises(GraphFormatError, match="isolated"):
+        loads_graph("5 2\n1 2 1\n3 4 1\n")

@@ -11,6 +11,7 @@ from bipratio import (
     evaluate_beta,
 )
 from bipratio.generators import complete
+from bipratio.oracle import iter_symmetric_pairs
 from bipratio.verify import all_connected_graphs
 
 
@@ -87,6 +88,19 @@ def test_brute_well_linked_too_large():
     G = complete(8)
     with pytest.raises(TooLargeError):
         brute_well_linked(G, k=1)
+
+
+def test_symmetric_pairs_follow_the_ternary_counter():
+    # Digits read most-significant-first as vertices 0..n-1: 1 -> L, 2 -> R.
+    F = frozenset
+    assert list(iter_symmetric_pairs(2)) == [
+        (F({1}), F()), (F(), F({1})), (F({0}), F()), (F({0, 1}), F()),
+        (F({0}), F({1})), (F(), F({0})), (F({1}), F({0})), (F(), F({0, 1})),
+    ]
+    for n in range(1, 7):
+        pairs = list(iter_symmetric_pairs(n))
+        assert len(pairs) == len(set(pairs)) == 3**n - 1
+        assert all(not (L & R) and (L | R) for L, R in pairs)
 
 
 def test_iff_on_tiny_corpus():
