@@ -271,13 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="JSON report on stdout")
         sp.add_argument("--timings", action="store_true",
                         help="fill timings_ms (breaks byte determinism)")
-        sp.add_argument("-v", "--verbose", action="store_true")
         if with_solver:
             sp.add_argument("--delta", type=float, default=0.125,
                             help="multiplicative-weights step size")
 
     sp = sub.add_parser("approx", help="ratio sweep (witness + certificate)")
     add_common(sp, with_solver=True)
+    sp.add_argument("-v", "--verbose", action="store_true",
+                    help="one line per game of the sweep")
     sp.add_argument("--rounds", type=int, default=None, help="round cap per game")
     sp.add_argument("--t-proj", type=int, default=None,
                     help="Gaussian attempts per round")

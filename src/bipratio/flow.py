@@ -27,73 +27,65 @@ from .graph import AuxiliaryGraph, SignVector, evaluate_beta
 
 
 class FlowNetwork:
-    """Integer-capacity s-t network stored as paired residual arcs.
+    """Selection network of the doubled graph at congestion parameter k >= 1,
+    stored as paired residual arcs.
 
-    Arc a and arc a ^ 1 are each other's reverses.  A directed arc is a pair
-    with reverse capacity 0; an undirected edge is a pair whose two residual
-    capacities both start at the edge capacity, so the two directions share
-    one capacity (net flow in [-c, +c]).
+    Arc a and arc a ^ 1 are each other's reverses.  Node i is the plus copy
+    and n + i the minus copy of base vertex i; 2n is the super source and
+    2n + 1 the super sink.  The layout is fixed at construction: pair c is
+    source -> copy c for c < 2n, pairs 2n + i and 3n + i lead minus copy
+    n + i and plus copy i to the sink, and the doubled-graph edges follow as
+    undirected middle edges of capacity w(e) * k, both residuals starting at
+    that capacity (net flow in [-c, +c]).  Terminal arcs start at capacity 0
+    in both directions; ``select`` writes the forward capacities of a
+    selection (L, R) and restores every residual, and each selection is
+    solved once.
 
     Middle arcs carry a (base edge id, copy) tag, stored under both arc ids
     of the pair, so that path decompositions can account congestion per
-    doubled-graph edge.  A selection network from ``build_network`` is built
-    once per graph and k; ``select`` re-targets it at another (L, R) by
-    rewriting the terminal capacities and restoring every residual, and
-    each selection is solved once.
+    doubled-graph edge; terminal arcs carry None.
     """
 
-    def __init__(self, n_nodes: int, source: int, sink: int, n_base: int = 0):
-        self.n_nodes = n_nodes
-        self.source = source
-        self.sink = sink
-        self.n_base = n_base
-        self.aux: AuxiliaryGraph | None = None
-        self.k: int | None = None
+    def __init__(self, aux: AuxiliaryGraph, k: int):
+        if k < 1 or int(k) != k:
+            raise ValueError(f"k must be a positive integer, got {k}")
+        n = aux.base.n
+        self.aux = aux
+        self.k = int(k)
+        self.n_base = n
+        self.n_nodes = 2 * n + 2
+        self.source = 2 * n
+        self.sink = 2 * n + 1
         self.head: list[int] = []
         self.cap: list[int] = []
         self.cap0: list[int] = []
         self.arc_tag: list[tuple[int, int] | None] = []
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.source_arcs: list[int] = []
-        self.sink_arcs: list[int] = []
-        self.middle_arcs: list[int] = []
+        self.adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
+        for copy in range(2 * n):
+            self._add_pair(self.source, copy, 0, None)
+        for copy in (*range(n, 2 * n), *range(n)):
+            self._add_pair(copy, self.sink, 0, None)
+        for idx, (u, v, w, e) in enumerate(aux.aux_edges):
+            self._add_pair(u, v, w * self.k, (e, idx % 2))
         self.A: frozenset[int] = frozenset()
         self.B: frozenset[int] = frozenset()
         self.b_A = 0
         self.solved = False
 
-    def _add_pair(self, u: int, v: int, cap_uv: int, cap_vu: int) -> int:
+    def _add_pair(self, u: int, v: int, cap: int, tag: tuple[int, int] | None) -> None:
         a = len(self.head)
         self.head += (v, u)
-        self.cap += (cap_uv, cap_vu)
-        self.cap0 += (cap_uv, cap_vu)
-        self.arc_tag += (None, None)
+        self.cap += (cap, cap)
+        self.cap0 += (cap, cap)
+        self.arc_tag += (tag, tag)
         self.adj[u].append(a)
         self.adj[v].append(a + 1)
-        return a
-
-    def add_source_arc(self, node: int, cap: int) -> int:
-        a = self._add_pair(self.source, node, cap, 0)
-        self.source_arcs.append(a)
-        self.b_A += cap
-        return a
-
-    def add_sink_arc(self, node: int, cap: int) -> int:
-        a = self._add_pair(node, self.sink, cap, 0)
-        self.sink_arcs.append(a)
-        return a
-
-    def add_middle_edge(self, u: int, v: int, cap: int, tag: tuple[int, int] | None = None) -> int:
-        a = self._add_pair(u, v, cap, cap)
-        self.middle_arcs.append(a)
-        self.arc_tag[a] = self.arc_tag[a + 1] = tag
-        return a
 
     def tail(self, arc: int) -> int:
         return self.head[arc ^ 1]
 
     def select(self, L: Iterable[int], R: Iterable[int]) -> None:
-        """Re-target a ``build_network`` network at the disjoint pair (L, R).
+        """Re-target the network at the disjoint pair (L, R).
 
         Writes the 4n terminal capacities (b on the selected arcs, 0 on the
         rest), restores every residual capacity, and clears the solved flag.
@@ -109,9 +101,6 @@ class FlowNetwork:
             raise ValueError(f"selected vertices must lie in range({n})")
         b = self.aux.base.b
         cap0 = self.cap0
-        # Terminal pair ids, in build_network's layout: source -> plus copy i
-        # is pair i, source -> minus copy n + i is n + i, minus copy n + i
-        # -> sink is 2n + i, plus copy i -> sink is 3n + i.
         for i in range(n):
             on_L = b[i] if i in L else 0
             on_R = b[i] if i in R else 0
@@ -119,8 +108,6 @@ class FlowNetwork:
             cap0[2 * (n + i)] = cap0[2 * (3 * n + i)] = on_R
         self.cap[:] = cap0
         left, right = sorted(L), sorted(R)
-        self.source_arcs = [2 * i for i in left] + [2 * (n + i) for i in right]
-        self.sink_arcs = [2 * (2 * n + i) for i in left] + [2 * (3 * n + i) for i in right]
         self.A = frozenset(left + [n + i for i in right])
         self.B = frozenset([n + i for i in left] + right)
         self.b_A = sum(b[i] for i in left) + sum(b[i] for i in right)
@@ -132,25 +119,12 @@ def build_network(aux: AuxiliaryGraph, L: Iterable[int], R: Iterable[int], k: in
 
     Source side A is the plus copies of L plus the minus copies of R; sink
     side B mirrors it.  Source/sink arcs carry the vertex weights, middle
-    edges carry w(e) * k.  Terminal arcs are laid out for all 2n copies
-    (source to plus copies, source to minus copies, minus copies to sink,
-    plus copies to sink), unselected ones at capacity 0, so that
-    ``FlowNetwork.select`` can re-target the network without rebuilding
-    the middle edges; every scan meets the positive-capacity arcs in the
-    order of a network holding the selected arcs alone.
+    edges carry w(e) * k.  Unselected terminal arcs sit at capacity 0, so
+    every scan meets the positive-capacity arcs in the order of a network
+    holding the selected arcs alone.  Raises ValueError unless k is a
+    positive integer.
     """
-    if k < 1 or int(k) != k:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    n = aux.base.n
-    net = FlowNetwork(2 * n + 2, source=2 * n, sink=2 * n + 1, n_base=n)
-    for copy in range(2 * n):
-        net._add_pair(net.source, copy, 0, 0)
-    for copy in (*range(n, 2 * n), *range(n)):
-        net._add_pair(copy, net.sink, 0, 0)
-    for idx, (a, bnode, w, e) in enumerate(aux.aux_edges):
-        net.add_middle_edge(a, bnode, w * k, tag=(e, idx % 2))
-    net.aux = aux
-    net.k = int(k)
+    net = FlowNetwork(aux, k)
     net.select(L, R)
     return net
 
@@ -309,10 +283,8 @@ def consistent_min_cut(net: FlowNetwork, flow: FlowAssignment) -> SignVector:
     reduced.update(n + i for i in range(n) if x[i] == -1)
     if cut_capacity(net, reduced) != flow.value:
         raise AssertionError("consistency reduction changed the cut value")
-    if net.aux is not None and net.k is not None:
-        beta = evaluate_beta(net.aux.base, tuple(x))
-        if beta * net.k >= 1:
-            raise AssertionError("reduced cut does not beat the ratio guess")
+    if evaluate_beta(net.aux.base, tuple(x)) * net.k >= 1:
+        raise AssertionError("reduced cut does not beat the ratio guess")
     return tuple(x)
 
 
@@ -480,9 +452,6 @@ class DemandMultigraph:
             d[a] += c
             d[b] += c
         return d
-
-    def total_multiplicity(self) -> int:
-        return sum(self.pairs.values())
 
     def weighted_edges(self) -> Iterator[tuple[int, int, int]]:
         for (a, b) in sorted(self.pairs):

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -60,32 +59,32 @@ from .spectral import (
 )
 
 
+# Certificates of graphs up to this many vertices carry beta(H) by brute force.
+BRUTE_CERT_LIMIT = 8
+
+
 @dataclass(frozen=True)
 class GameParams:
-    """Knobs of one game and of the surrounding sweep.
+    """Settings of one game and of the surrounding sweep.
 
+    The ratio guess 1/k is not among them: it is the game's own argument.
     Fields left as None are resolved per graph: T = max(16, ceil(9 ln^2 n))
     rounds and max_attempts = ceil(8 ln n) + 8 Gaussian samples per round.
-    The step size must satisfy 4 * delta < 1.
+    The step size must satisfy 4 * delta < 1, and ``restarts`` bounds the
+    rounding retries across one game.
     """
 
     seed: int = 0
-    k: int = 1
     rounds: int | None = None
     max_attempts: int | None = None
     delta: float = 0.125
     restarts: int = 3
-    early_exit: bool = False
-    early_exit_threshold: float = 2.0
-    brute_cert_limit: int = 8
 
     def resolve(self, n: int) -> "GameParams":
         ln_n = math.log(max(n, 2))
         rounds = self.rounds if self.rounds is not None else max(16, math.ceil(9.0 * ln_n**2))
         attempts = (self.max_attempts if self.max_attempts is not None
                     else math.ceil(8.0 * ln_n) + 8)
-        if not (self.k >= 1 and int(self.k) == self.k):
-            raise ValueError(f"k must be a positive integer, got {self.k}")
         if not (0.0 < self.delta and 4.0 * self.delta < 1.0):
             raise ValueError(f"step size must satisfy 0 < 4*delta < 1, got {self.delta}")
         return replace(self, rounds=rounds, max_attempts=attempts)
@@ -155,28 +154,27 @@ class CutFound:
 class Matched:
     side: frozenset[int]
     demand: DemandMultigraph
-    F: np.ndarray
     inner: float
     state: MmwuState
 
 
-def play_round(G: WeightedGraph, net: FlowNetwork, b: Sequence[int],
-               params: GameParams, state: MmwuState,
-               rng: np.random.Generator) -> CutFound | Matched:
+def play_round(net: FlowNetwork, state: MmwuState, rng: np.random.Generator,
+               max_attempts: int) -> CutFound | Matched:
     """Run one round: project, select, solve the flow, answer.
 
-    ``net`` is the game's selection network of G at k = params.k; the round
-    re-selects it for its own (L, empty).
+    ``net`` is the game's selection network at its k; the round re-selects
+    it for its own (L, empty).
 
     Returns CutFound with a witness sign vector when the selection is not
-    well-linked at 1/k, otherwise Matched with the demand graph, its
-    quadratic form and the advanced state.  Raises RoundFail when Gaussian
-    rounding exceeds its attempt budget.
+    well-linked at 1/k, otherwise Matched with the demand graph, tr(F X)
+    and the state advanced by F.  Raises RoundFail when Gaussian rounding
+    exceeds its attempt budget.
     """
+    b = net.aux.base.b
     # Both read the state's one cached eigendecomposition.
     X = density_matrix(state)
     grams = exact_gram_vectors(state, b)
-    rounded = gaussian_round(grams, b, rng, params.max_attempts)
+    rounded = gaussian_round(grams, b, rng, max_attempts)
     net.select(rounded.L, frozenset())
     flow = max_flow(net)
     if not is_saturating(net, flow):
@@ -184,37 +182,34 @@ def play_round(G: WeightedGraph, net: FlowNetwork, b: Sequence[int],
     paths = decompose_flow(net, flow)
     M = demand_graph(paths, net)
     degs = M.degrees()
-    for i in range(G.n):
-        want = 2 * b[i] if i in rounded.L else 0
+    for i, bi in enumerate(b):
+        want = 2 * bi if i in rounded.L else 0
         if degs[i] != want:
             raise AssertionError(
                 f"saturating round violates the demand degree law at vertex {i}")
     F = demand_matrix(M, b)
     inner = float((F * X).sum())
-    return Matched(rounded.L, M, F, inner, state.advance(F))
+    return Matched(rounded.L, M, inner, state.advance(F))
 
 
 def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None,
-                      b: Sequence[int] | None = None,
                       rng: np.random.Generator | None = None) -> GameOutcome:
-    """Play the full game at ratio guess 1/k.
+    """Play the full game at ratio guess 1/k, for a positive integer k.
 
     Every witness is re-checked exactly (beta * k < 1 as rationals).  A
     round that fails Gaussian rounding is retried with fresh samples at the
     same state, up to ``restarts`` times across the game, after which
-    GameFailed is raised.
+    GameFailed is raised.  Vertex weights are G's own; pass ``G.with_b(b)``
+    for others.
     """
     params = (params or GameParams()).resolve(G.n)
-    if params.k != k:
-        params = replace(params, k=int(k)).resolve(G.n)
-    if b is not None:
-        G = G.with_b(b)
-    b = G.b
-    if rng is None:
-        rng = np.random.default_rng([params.seed, 1, int(k)])
     # One network per game: the middle edges never change, and every round
     # re-selects the terminal arcs, so the initial selection is a placeholder.
-    net = build_network(build_auxiliary_graph(G), range(G.n), (), params.k)
+    # Building it validates k.
+    net = build_network(build_auxiliary_graph(G), range(G.n), (), k)
+    k = net.k
+    if rng is None:
+        rng = np.random.default_rng([params.seed, 1, k])
     state = MmwuState.initial(G.n, params.delta)
     records: list[RoundRecord] = []
     restarts_left = params.restarts
@@ -222,7 +217,7 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
     t = 1
     while t <= params.rounds:
         try:
-            outcome = play_round(G, net, b, params, state, rng)
+            outcome = play_round(net, state, rng, params.max_attempts)
         except RoundFail:
             restarts_left -= 1
             if restarts_left < 0:
@@ -234,16 +229,14 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
             beta = evaluate_beta(G, outcome.x)
             if not beta * k < 1:
                 raise AssertionError("witness does not beat the ratio guess")
-            return Witness(outcome.x, beta, int(k), t - 1, tuple(records), flow_solves)
+            return Witness(outcome.x, beta, k, t - 1, tuple(records), flow_solves)
         records.append(RoundRecord(t, outcome.side, outcome.demand, outcome.inner))
         state = outcome.state
         t += 1
-        if params.early_exit and lambda_min(state.accumulated) >= params.early_exit_threshold:
-            break
     union = DemandMultigraph.union([r.demand for r in records], n=G.n)
     lam = lambda_min(state.accumulated)
-    beta_H = brute_beta(union, b)[0] if G.n <= params.brute_cert_limit else None
-    return Certificate(int(k), len(records), union, tuple(records), lam, beta_H,
+    beta_H = brute_beta(union, G.b)[0] if G.n <= BRUTE_CERT_LIMIT else None
+    return Certificate(k, len(records), union, tuple(records), lam, beta_H,
                        flow_solves)
 
 
@@ -291,7 +284,6 @@ def _fallback_witness(G: WeightedGraph) -> tuple[SignVector, Ratio]:
 
 
 def approx_bipartiteness(G: WeightedGraph, params: GameParams | None = None,
-                         b: Sequence[int] | None = None,
                          seed_path: tuple[int, ...] | None = None) -> SweepResult:
     """Geometric sweep over ratio guesses 1/k, k = 1, 2, 4, ...
 
@@ -303,8 +295,6 @@ def approx_bipartiteness(G: WeightedGraph, params: GameParams | None = None,
     positive ratio.
     """
     params = params or GameParams()
-    if b is not None:
-        G = G.with_b(b)
     prefix = seed_path if seed_path is not None else (params.seed,)
     K = sweep_k_limit(G)
     best_x: SignVector | None = None

@@ -173,19 +173,6 @@ class AuxiliaryGraph:
     def n_aux(self) -> int:
         return 2 * self.base.n
 
-    def plus(self, i: int) -> int:
-        return i
-
-    def minus(self, i: int) -> int:
-        return self.base.n + i
-
-    def is_plus(self, node: int) -> bool:
-        return node < self.base.n
-
-    def base_vertex(self, node: int) -> int:
-        n = self.base.n
-        return node if node < n else node - n
-
 
 def build_auxiliary_graph(G: WeightedGraph) -> AuxiliaryGraph:
     """Construct the doubled graph of G (2m records, weights inherited)."""

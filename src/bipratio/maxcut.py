@@ -102,33 +102,32 @@ def _bipartition_cut_weight(G: WeightedGraph, left: frozenset[int]) -> int:
     return sum(w for u, v, w in G.edges if (u in left) != (v in left))
 
 
-def recursive_bipart(G: WeightedGraph, params: GameParams | None = None,
-                     seed: int = 0) -> CutResult:
+def recursive_bipart(G: WeightedGraph, params: GameParams | None = None) -> CutResult:
     """Recursive bipartitioning max cut.  Needs at least one edge.
 
     Solves with degree vertex weights regardless of the graph's own weights
     (the cut objective does not involve them); isolated input vertices touch
     no edge and are placed by parity, like zero-degree vertices deeper in
-    the recursion.
+    the recursion.  The seed is ``params.seed`` (default GameParams()).
     """
     if G.total_weight == 0:
         raise EmptyGraphError("max cut of an edgeless graph is undefined")
-    params = params or GameParams(seed=seed)
+    params = params or GameParams()
     top = induced_subgraph(G, range(G.n))
     iso_left, _ = _split_isolated(top.isolated)
-    L, _, trace = _solve_level(top.graph, top.ids, 0, params, params.seed, top.graph.n)
+    L, _, trace = _solve_level(top.graph, top.ids, 0, params, top.graph.n)
     L = set(L) | iso_left
     value = cut_value(G, L)
     return CutResult(frozenset(L), value, tuple(trace))
 
 
 def _solve_level(G: WeightedGraph, ids: tuple[int, ...], level: int,
-                 params: GameParams, seed: int, n_top: int):
+                 params: GameParams, n_top: int):
     # Every level removes at least one vertex of the top-level graph, so the
     # depth never exceeds that graph's vertex count.
     if level > n_top:
         raise AssertionError("recursion depth exceeded the vertex count")
-    res: SweepResult = approx_bipartiteness(G, params, seed_path=(seed, 2, level))
+    res: SweepResult = approx_bipartiteness(G, params, seed_path=(params.seed, 2, level))
     L_loc, R_loc, Z_loc = tripartition(res.x_best)
     w_internal = sum(w for u, v, w in G.edges
                      if (u in L_loc and v in L_loc) or (u in R_loc and v in R_loc))
@@ -152,8 +151,7 @@ def _solve_level(G: WeightedGraph, ids: tuple[int, ...], level: int,
         sub_uncut = Fraction(0)
     else:
         sub_ids = tuple(ids[i] for i in sub.ids)
-        L2, R2, sub_trace = _solve_level(sub.graph, sub_ids, level + 1, params, seed,
-                                         n_top)
+        L2, R2, sub_trace = _solve_level(sub.graph, sub_ids, level + 1, params, n_top)
         L2 = L2 | iso_left
         R2 = R2 | iso_right
         sub_uncut = sub_trace[0].uncut

@@ -138,8 +138,9 @@ def iter_symmetric_pairs(n: int) -> Iterator[tuple[frozenset[int], frozenset[int
             yield frozenset(compress(vertices, plus)), frozenset(compress(vertices, minus))
 
 
-def brute_well_linked(G: WeightedGraph, b=None, k: int = 1):
-    """Exhaustive well-linkedness of the doubled graph at ratio 1/k.
+def brute_well_linked(G: WeightedGraph, k: int = 1):
+    """Exhaustive well-linkedness of the doubled graph at ratio 1/k, under
+    G's own vertex weights (pass ``G.with_b(b)`` for others).
 
     Returns (linked, violating_pair): linked is True when every symmetric
     selection admits a saturating flow; otherwise violating_pair is the
@@ -148,10 +149,9 @@ def brute_well_linked(G: WeightedGraph, b=None, k: int = 1):
     """
     if G.n > 7:
         raise TooLargeError(f"brute_well_linked runs 3^n max-flows; n = {G.n} > 7")
-    graph = G if b is None else G.with_b(b)
     # One network for every pair; the initial selection is a placeholder.
-    net = build_network(build_auxiliary_graph(graph), range(graph.n), (), k)
-    for L, R in iter_symmetric_pairs(graph.n):
+    net = build_network(build_auxiliary_graph(G), range(G.n), (), k)
+    for L, R in iter_symmetric_pairs(G.n):
         net.select(L, R)
         flow = max_flow(net)
         if not is_saturating(net, flow):

@@ -226,7 +226,6 @@ class RoundedCut:
 
     values: np.ndarray
     L: frozenset[int]
-    R: frozenset[int]
     mass: float
     attempts: int
 
@@ -238,8 +237,8 @@ def gaussian_round(grams: GramVectors, b, rng: np.random.Generator,
     A sample is accepted when the weighted squared mass sum_i b(i) v~_i^2
     reaches 1/4 (the expectation is 1, and the mass falls below 1/2 with
     probability at most e^{-1/16}).  The side with the larger mass becomes
-    L, ties keeping the positive side; R is always returned empty.  Raises
-    RoundFail after ``max_attempts`` rejections.
+    L, ties keeping the positive side.  Raises RoundFail after
+    ``max_attempts`` rejections.
     """
     b = np.asarray(b, dtype=float)
     V = grams.vectors
@@ -258,7 +257,7 @@ def gaussian_round(grams: GramVectors, b, rng: np.random.Generator,
         else:
             side, mass = neg, mass_neg
         L = frozenset(int(i) for i in np.nonzero(side)[0])
-        return RoundedCut(values, L, frozenset(), mass, attempt)
+        return RoundedCut(values, L, mass, attempt)
     raise RoundFail(f"no acceptable Gaussian sample in {max_attempts} attempts")
 
 

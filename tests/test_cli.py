@@ -103,6 +103,16 @@ def test_no_gram_route_flags(command, flag, value, k3_file, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["exact", "maxcut"])
+def test_verbose_only_on_approx(command, k3_file, capsys):
+    # Only the sweep has per-game lines to print; elsewhere -v is unknown.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", k3_file, "-v"])
+    assert exc.value.code == 2
+    assert main(["approx", "--graph", k3_file, "--seed", "7", "-v"]) == 0
+    assert "k=1:" in capsys.readouterr().out
+
+
 def test_gen_cycle_stdout(capsys):
     assert main(["gen", "cycle", "4"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -5,7 +7,6 @@ import pytest
 from bipratio import (
     DemandMultigraph,
     EmptySelectionError,
-    FlowNetwork,
     MalformedPathError,
     SaturatingFlowError,
     WeightedGraph,
@@ -18,29 +19,45 @@ from bipratio import (
     is_saturating,
     max_flow,
 )
-from bipratio.flow import cut_capacity
+from bipratio.flow import FlowPath, cut_capacity
 from bipratio.oracle import iter_symmetric_pairs
 from bipratio.verify import random_test_graph
+
+
+def _layout(net):
+    """Arc ids of a selection network's fixed layout: the selected (positive
+    capacity) source arcs and sink arcs, and every middle arc."""
+    n = net.n_base
+    source = [a for a in range(0, 4 * n, 2) if net.cap0[a] > 0]
+    sink = [a for a in range(4 * n, 8 * n, 2) if net.cap0[a] > 0]
+    middle = list(range(8 * n, len(net.head), 2))
+    assert all(net.head[a ^ 1] == net.source for a in source)
+    assert all(net.head[a] == net.sink for a in sink)
+    assert all(net.arc_tag[a] is not None for a in middle)
+    return source, sink, middle
 
 
 def test_network_shape_single_edge(single_edge):
     aux = build_auxiliary_graph(single_edge)
     net = build_network(aux, {0}, set(), 1)
     assert net.b_A == 1
-    assert len(net.source_arcs) == 1 and len(net.sink_arcs) == 1
-    assert len(net.middle_arcs) == 2
-    assert all(net.cap0[a] == 1 for a in net.middle_arcs)
+    source, sink, middle = _layout(net)
+    assert len(source) == 1 and len(sink) == 1
+    assert len(middle) == 2
+    assert all(net.cap0[a] == 1 for a in middle)
     net3 = build_network(aux, {0}, set(), 3)
-    assert all(net3.cap0[a] == 3 for a in net3.middle_arcs)
-    assert net3.cap0[net3.source_arcs[0]] == 1  # source caps do not scale
+    source3, _, middle3 = _layout(net3)
+    assert all(net3.cap0[a] == 3 for a in middle3)
+    assert net3.cap0[source3[0]] == 1  # source caps do not scale
 
 
 def test_network_shape_k3(k3):
     aux = build_auxiliary_graph(k3)
     net = build_network(aux, {0, 1, 2}, set(), 2)
-    assert len(net.source_arcs) == 3 and len(net.sink_arcs) == 3
-    assert all(net.cap0[a] == 2 for a in net.source_arcs)
-    assert all(net.cap0[a] == 2 for a in net.middle_arcs)
+    source, sink, middle = _layout(net)
+    assert len(source) == 3 and len(sink) == 3
+    assert all(net.cap0[a] == 2 for a in source)
+    assert all(net.cap0[a] == 2 for a in middle)
 
 
 def test_network_rejects_bad_selection(k3):
@@ -52,12 +69,17 @@ def test_network_rejects_bad_selection(k3):
 
 
 def test_bottleneck_path_network():
-    # s -> a (cap 2), a -- b (cap 1), b -> t (cap 2): value 1.
-    net = FlowNetwork(4, source=0, sink=3)
-    net.add_source_arc(1, 2)
-    net.add_middle_edge(1, 2, 1)
-    net.add_sink_arc(2, 2)
-    assert max_flow(net).value == 1
+    # One unit edge with b = (2, 2) and L = {0, 1}: two routes
+    # s -> i+ (cap 2), i+ -- j- (cap w * k), j- -> t (cap 2), so the middle
+    # edges bound the flow at k = 1 and the terminals at k = 2.
+    G = WeightedGraph(2, ((0, 1, 1),), (2, 2))
+    aux = build_auxiliary_graph(G)
+    net = build_network(aux, {0, 1}, set(), 1)
+    flow = max_flow(net)
+    assert flow.value == 2 and net.b_A == 4
+    assert not is_saturating(net, flow)
+    net2 = build_network(aux, {0, 1}, set(), 2)
+    assert max_flow(net2).value == 4
 
 
 def test_single_edge_singleton_not_saturating(single_edge):
@@ -119,6 +141,20 @@ def test_consistent_cut_keeps_min_cut_value():
                 break
 
 
+def test_consistent_cut_always_audits_the_ratio(monkeypatch):
+    # The reduced cut's ratio is re-checked against 1/k on every network:
+    # a ratio that does not beat the guess must fail the audit.
+    import bipratio.flow as flow_mod
+
+    G = WeightedGraph(2, ((0, 1, 1),), (1, 1))
+    net = build_network(build_auxiliary_graph(G), {0}, set(), 1)
+    flow = max_flow(net)
+    assert not is_saturating(net, flow)
+    monkeypatch.setattr(flow_mod, "evaluate_beta", lambda graph, x: Fraction(1))
+    with pytest.raises(AssertionError):
+        consistent_min_cut(net, flow)
+
+
 def test_consistent_cut_reuses_the_last_search(monkeypatch):
     # consistent_min_cut reads the residual source side that max_flow's final
     # search found; it runs no search of its own.
@@ -165,18 +201,15 @@ def test_decompose_k3_saturating(k3):
 
 
 def test_decompose_two_parallel_unit_paths():
-    # Two disjoint unit source->sink routes decompose into exactly those two.
-    net = FlowNetwork(6, source=0, sink=5)
-    net.add_source_arc(1, 1)
-    net.add_source_arc(2, 1)
-    net.add_middle_edge(1, 3, 1)
-    net.add_middle_edge(2, 4, 1)
-    net.add_sink_arc(3, 1)
-    net.add_sink_arc(4, 1)
+    # Two disjoint unit source->sink routes decompose into exactly those two:
+    # 0+ -> 1- over copy 0 of the edge, and 1+ -> 0- over copy 1.
+    G = WeightedGraph(2, ((0, 1, 1),), (1, 1))
+    net = build_network(build_auxiliary_graph(G), {0, 1}, set(), 1)
     flow = max_flow(net)
     assert flow.value == 2
     paths = decompose_flow(net, flow)
-    assert sorted((p.nodes, p.units) for p in paths) == [((1, 3), 1), ((2, 4), 1)]
+    assert sorted(paths) == [FlowPath((0, 3), 1, ((0, 0),)),
+                             FlowPath((1, 2), 1, ((0, 1),))]
 
 
 def test_demand_graph_k3_self_loop(k3):
@@ -212,8 +245,6 @@ def test_demand_graph_cross_pair():
 
 
 def test_demand_graph_rejects_malformed(k3):
-    from bipratio.flow import FlowPath
-
     aux = build_auxiliary_graph(k3)
     net = build_network(aux, {0}, set(), 2)
     max_flow(net)
@@ -306,9 +337,10 @@ def _check_paths_against_arc_flows(net, flow, paths):
     # cycle cancellation removed: a circulation running with the flow.
     # Replaying the peel on the routed units, every path must leave each node
     # along its lowest-id out-arc that still carries units.
-    source_arc = {net.head[a]: a for a in net.source_arcs}
-    sink_arc = {net.tail(a): a for a in net.sink_arcs}
-    middle_arc = {net.arc_tag[a]: a for a in net.middle_arcs}
+    source_arcs, sink_arcs, middle_arcs = _layout(net)
+    source_arc = {net.head[a]: a for a in source_arcs}
+    sink_arc = {net.tail(a): a for a in sink_arcs}
+    middle_arc = {net.arc_tag[a]: a for a in middle_arcs}
     walks = []
     for p in paths:
         arcs = [source_arc[p.nodes[0]]]
@@ -376,7 +408,8 @@ def test_max_flow_twice_needs_select(k3):
     net.select({0}, set())
     assert max_flow(net).value == 2
     net.select({1}, {2})
-    assert len(net.source_arcs) == len(net.sink_arcs) == 2
+    source, sink, _ = _layout(net)
+    assert len(source) == len(sink) == 2
     assert max_flow(net).value == max_flow(build_network(aux, {1}, {2}, 2)).value
     with pytest.raises(EmptySelectionError):
         net.select(set(), set())
