@@ -65,6 +65,7 @@ class FlowNetwork:
             self._add_pair(self.source, copy, 0, None)
         for copy in (*range(n, 2 * n), *range(n)):
             self._add_pair(copy, self.sink, 0, None)
+        self.sink_arc = {self.head[a]: a ^ 1 for a in self.adj[self.sink]}  # copy -> arc to sink
         for idx, (u, v, w, e) in enumerate(aux.aux_edges):
             self._add_pair(u, v, w * self.k, (e, idx % 2))
         self.A: frozenset[int] = frozenset()
@@ -159,37 +160,54 @@ class FlowAssignment:
         return worst
 
 
-def _bfs_levels(net: FlowNetwork) -> list[int]:
-    adj, head, cap = net.adj, net.head, net.cap
+def _bfs_levels(net: FlowNetwork) -> tuple[list[int], list]:
+    """Residual BFS levels, and each searched node's admissible arcs
+    (residual, head one level deeper) in adjacency order; see ``max_flow``."""
+    adj, head, cap, sink_arc = net.adj, net.head, net.cap, net.sink_arc
     level = [-1] * net.n_nodes
-    level[net.source] = 0
-    queue = [net.source]
-    for u in queue:  # the loop also visits the nodes appended below
-        nxt = level[u] + 1
-        for a in adj[u]:
-            if cap[a] > 0:
-                v = head[a]
-                if level[v] < 0:
-                    level[v] = nxt
-                    queue.append(v)
-    return level
+    admissible: list = [()] * net.n_nodes
+    level[net.source] = depth = 0
+    frontier = [net.source]
+    while frontier:
+        depth += 1
+        reached = []
+        for u in frontier:
+            admissible[u] = arcs = []
+            for a in adj[u]:
+                if cap[a] > 0:
+                    v = head[a]
+                    if level[v] < 0:
+                        level[v] = depth
+                        reached.append(v)
+                    if level[v] == depth:
+                        arcs.append(a)
+        last = [v for v in reached if cap[sink_arc[v]] > 0]
+        if last:
+            level[net.sink] = depth + 1
+            for v in last:
+                admissible[v] = (sink_arc[v],)
+            break
+        frontier = reached
+    return level, admissible
 
 
 def max_flow(net: FlowNetwork) -> FlowAssignment:
     """Maximum integral source-sink flow via blocking flows on level graphs.
 
-    The solve mutates the network residuals in place, so a network is solved
-    once per selection (``FlowNetwork.select`` restores it), and audits
-    itself: the residual source-side cut must have capacity equal to the
-    flow value.
+    Each phase's BFS stops at the first level with a residual sink arc (its
+    copies keep their sink arcs alone) and the blocking flow walks the
+    admissible lists in adjacency order, so the augmenting paths are those
+    of a search over every arc.  The solve mutates the residuals in place, so
+    a network is solved once per selection (``FlowNetwork.select`` restores
+    it), and audits itself: the residual source-side cut must equal the flow.
     """
     if net.solved:
         raise RuntimeError("network already solved; select() a pair before solving again")
-    adj, head, cap = net.adj, net.head, net.cap
+    head, cap = net.head, net.cap
     s, t = net.source, net.sink
     total = 0
     while True:
-        level = _bfs_levels(net)
+        level, admissible = _bfs_levels(net)
         if level[t] < 0:
             break
         it = [0] * net.n_nodes
@@ -210,11 +228,11 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
                 u = head[path[cut] ^ 1]
                 del path[cut:]
                 continue
-            arcs = adj[u]
-            i, end, nxt = it[u], len(arcs), level[u] + 1
+            arcs = admissible[u]
+            i, end = it[u], len(arcs)
             while i < end:
                 a = arcs[i]
-                if cap[a] > 0 and level[head[a]] == nxt:
+                if cap[a] > 0 and level[head[a]] >= 0:
                     break
                 i += 1
             it[u] = i
@@ -323,40 +341,28 @@ def _flow_graph(net: FlowNetwork) -> tuple[list[int], list[list[int]]]:
 def _find_cycle(net: FlowNetwork, flows: list[int],
                 out: list[list[int]]) -> list[int] | None:
     head = net.head
-    color = [0] * net.n_nodes
+    state = [0] * net.n_nodes  # 0 unseen, -1 done, else 1 + trail position
     for start in range(net.n_nodes):
-        if color[start]:
+        if state[start]:
             continue
-        stack = [(start, 0)]
+        state[start] = 1
+        stack = [(start, iter(out[start]))]
         trail: list[int] = []
-        color[start] = 1
         while stack:
-            node, idx = stack[-1]
-            arcs = out[node]
-            if idx >= len(arcs):
-                color[node] = 2
-                stack.pop()
+            for a in stack[-1][1]:
+                if flows[a]:
+                    v = head[a]
+                    if state[v] > 0:
+                        return trail[state[v] - 1:] + [a]
+                    if not state[v]:
+                        trail.append(a)
+                        state[v] = len(trail) + 1
+                        stack.append((v, iter(out[v])))
+                        break
+            else:
+                state[stack.pop()[0]] = -1
                 if trail:
                     trail.pop()
-                continue
-            stack[-1] = (node, idx + 1)
-            a = arcs[idx]
-            if not flows[a]:
-                continue
-            v = head[a]
-            c = color[v]
-            if c == 1:
-                cycle = [a]
-                for arc in reversed(trail):
-                    if head[cycle[-1] ^ 1] == v:
-                        break
-                    cycle.append(arc)
-                cycle.reverse()
-                return cycle
-            if c == 0:
-                color[v] = 1
-                trail.append(a)
-                stack.append((v, 0))
     return None
 
 
@@ -377,43 +383,57 @@ def decompose_flow(net: FlowNetwork, flow: FlowAssignment) -> list[FlowPath]:
 
     Cycles are cancelled first; paths are then peeled greedily, always
     leaving a node along its lowest-id out-arc that still carries flow, and
-    each peel subtracts the path bottleneck.  Flows only decrease, so a
-    per-node pointer past the emptied out-arcs finds that arc without a
-    rescan, and the next walk keeps the prefix up to the first arc the peel
-    emptied.  Multiplicities sum to the flow value and the number of
-    distinct paths is at most the number of flow-carrying arcs.
+    each peel subtracts the path bottleneck (in straight-line code for the
+    common three-arc path).  Flows only decrease, so a node keeps that arc
+    until it empties, then a pointer skips the emptied ones; the next walk
+    keeps the prefix up to the first arc the peel emptied.  Multiplicities
+    sum to the flow value, over at most as many paths as flow-carrying arcs.
     """
-    head, arc_tag = net.head, net.arc_tag
+    head, arc_tag, sink = net.head, net.arc_tag, net.sink
     flows, out = _flow_graph(net)
     _cancel_cycles(net, flows, out)
+    flows.append(0)  # index -1: the empty current arc of a node without out-arcs
+    cur = [arcs[0] if arcs else -1 for arcs in out]
     ptr = [0] * net.n_nodes
     paths: list[FlowPath] = []
     remaining = flow.value
     arcs: list[int] = []
     u = net.source
     while remaining > 0:
-        while u != net.sink:
-            out_u = out[u]
-            i, end = ptr[u], len(out_u)
-            while i < end and not flows[out_u[i]]:
-                i += 1
-            if i == end:
-                raise AssertionError("flow walk stalled before the sink")
-            ptr[u] = i
-            a = out_u[i]
+        while u != sink:
+            a = cur[u]
+            if not flows[a]:
+                out_u = out[u]
+                i, end = ptr[u] + 1, len(out_u)
+                while i < end and not flows[out_u[i]]:
+                    i += 1
+                if i >= end:
+                    raise AssertionError("flow walk stalled before the sink")
+                ptr[u], cur[u] = i, out_u[i]
+                a = cur[u]
             arcs.append(a)
             u = head[a]
-        units, cut = flows[arcs[0]], 0
-        for idx in range(1, len(arcs)):
-            f = flows[arcs[idx]]
-            if f < units:
-                units, cut = f, idx
-        for a in arcs:
-            flows[a] -= units
-        nodes = tuple([head[a] for a in arcs[:-1]])
-        middle = tuple([tag for tag in map(arc_tag.__getitem__, arcs[1:-1])
-                        if tag is not None])
-        paths.append(FlowPath(nodes, units, middle))
+        if len(arcs) == 3:  # source -> entry -> exit -> sink
+            a0, a1, a2 = arcs
+            f0, f1, f2 = flows[a0], flows[a1], flows[a2]
+            if f0 <= f1 and f0 <= f2:
+                units, cut = f0, 0
+            elif f1 <= f2:
+                units, cut = f1, 1
+            else:
+                units, cut = f2, 2
+            flows[a0], flows[a1], flows[a2] = f0 - units, f1 - units, f2 - units
+            nodes, middle = (head[a0], head[a1]), (arc_tag[a1],)
+        else:
+            carried = [flows[a] for a in arcs]
+            units = min(carried)
+            cut = carried.index(units)
+            for a in arcs:
+                flows[a] -= units
+            nodes = tuple([head[a] for a in arcs[:-1]])
+            middle = tuple([tag for tag in map(arc_tag.__getitem__, arcs[1:-1])
+                            if tag is not None])
+        paths.append(tuple.__new__(FlowPath, (nodes, units, middle)))  # skips FlowPath.__new__
         remaining -= units
         u = head[arcs[cut] ^ 1]
         del arcs[cut:]
@@ -492,19 +512,19 @@ def demand_graph(paths: Sequence[FlowPath], net: FlowNetwork) -> DemandMultigrap
     entering at a copy of i and leaving at a copy of j, plus the per-copy
     usage ledger of every traversed middle edge."""
     n = net.n_base
+    A, B = net.A, net.B
     pairs: dict[tuple[int, int], int] = {}
     usage: dict[tuple[int, int], int] = {}
-    for p in paths:
-        if not p.nodes:
+    for nodes, units, middle in paths:
+        if not nodes:
             raise MalformedPathError("path has no interior nodes")
-        entry, exit_ = p.nodes[0], p.nodes[-1]
-        if entry not in net.A or exit_ not in net.B:
+        entry, exit_ = nodes[0], nodes[-1]
+        if entry not in A or exit_ not in B:
             raise MalformedPathError(
                 f"path endpoints ({entry}, {exit_}) are not a source/sink pair")
-        i = entry if entry < n else entry - n
-        j = exit_ if exit_ < n else exit_ - n
+        i, j = entry % n, exit_ % n
         key = (i, j) if i <= j else (j, i)
-        pairs[key] = pairs.get(key, 0) + p.units
-        for tag in p.middle:
-            usage[tag] = usage.get(tag, 0) + p.units
+        pairs[key] = pairs.get(key, 0) + units
+        for tag in middle:
+            usage[tag] = usage.get(tag, 0) + units
     return DemandMultigraph(n, pairs, usage)

@@ -40,6 +40,8 @@ class WeightedGraph:
     entries; self-loops are rejected.  The vertex weight vector ``b``
     defaults to the weighted degree, in which case a graph with an isolated
     vertex has no valid default and must be given explicit weights.
+    Endpoints and weights may be ints, numpy integers or integral floats
+    such as 2.0; a value that ``int`` would truncate raises ValueError.
     """
 
     n: int
@@ -52,8 +54,10 @@ class WeightedGraph:
             raise ValueError("graph needs at least one vertex")
         edges = []
         deg = [0] * self.n
-        for u, v, w in self.edges:
-            u, v, w = int(u), int(v), int(w)
+        for x, y, z in self.edges:
+            u, v, w = int(x), int(y), int(z)
+            if u != x or v != y or w != z:  # int() truncates 2.5 and 0.9
+                raise ValueError(f"edge ({x}, {y}, {z}) must hold integers")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge endpoint out of range: ({u}, {v})")
             if u == v:
@@ -73,7 +77,10 @@ class WeightedGraph:
                 )
             object.__setattr__(self, "b", tuple(deg))
         else:
-            b = tuple(int(x) for x in self.b)
+            given = tuple(self.b)
+            b = tuple(int(x) for x in given)
+            if b != given:
+                raise ValueError(f"vertex weights must be integers, got {given!r}")
             if len(b) != self.n:
                 raise ValueError(f"need {self.n} vertex weights, got {len(b)}")
             if min(b) < 1:

@@ -53,20 +53,34 @@ def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
     if b.shape != (M.n,):
         raise ValueError(f"need {M.n} vertex weights, got shape {b.shape}")
     degs = M.degrees()
-    for i in range(M.n):
-        if degs[i] > 2 * b[i]:
+    b_list = b.tolist()
+    for i, bi in enumerate(b_list):
+        if degs[i] > 2 * bi:
             raise DegreeOverflowError(
-                f"demand degree {degs[i]} at vertex {i} exceeds 2*b = {2 * b[i]:g}")
-    F = np.zeros((M.n, M.n))
-    inv_sqrt = 1.0 / np.sqrt(b)
+                f"demand degree {degs[i]} at vertex {i} exceeds 2*b = {2 * bi:g}")
+    # Python floats, in pair order: the roundings of adding each term into F
+    # in turn, without numpy scalar indexing.  Off the diagonal each key
+    # writes its own entry; F + F.T then adds the (j, i) term, if any, to the
+    # (i, j) one, and a sum of two terms is the same in either order.
+    n = M.n
+    inv_sqrt = [1.0 / math.sqrt(x) for x in b_list]  # np.sqrt rounds the same
+    inv_sqrt_sq = [x ** 2 for x in inv_sqrt]
+    diag = [0.0] * n
+    index: list[int] = []
+    off: list[float] = []
     for (i, j), c in M.pairs.items():
         if i == j:
-            F[i, i] += 4.0 * c * inv_sqrt[i] ** 2
+            diag[i] += 4.0 * c * inv_sqrt_sq[i]
         else:
-            F[i, i] += c * inv_sqrt[i] ** 2
-            F[j, j] += c * inv_sqrt[j] ** 2
-            F[i, j] += c * inv_sqrt[i] * inv_sqrt[j]
-            F[j, i] += c * inv_sqrt[i] * inv_sqrt[j]
+            diag[i] += c * inv_sqrt_sq[i]
+            diag[j] += c * inv_sqrt_sq[j]
+            index.append(i * n + j)
+            off.append(c * inv_sqrt[i] * inv_sqrt[j])
+    F = np.zeros(n * n)
+    F[index] = off
+    F = F.reshape(n, n)
+    F = F + F.T
+    F.flat[::n + 1] = diag
     return F
 
 
@@ -88,9 +102,10 @@ class MmwuState:
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         return _eigh(self.accumulated)
 
-    def _weights(self) -> tuple[np.ndarray, np.ndarray]:
-        # Eigenvalues are shifted before exponentiation; normalizing by the
-        # sum cancels the shift.
+    @cached_property
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """exp(-delta * lam), shifted so its largest entry is 1, and Q; kept
+        like ``eigh``.  Normalizing by the sum cancels the shift."""
         lam, Q = self.eigh
         y = -self.delta * lam
         return np.exp(y - y.max()), Q
@@ -114,7 +129,7 @@ def density_matrix(state: MmwuState) -> np.ndarray:
 
     The empty state gives I/n.  Reads the state's cached eigendecomposition.
     """
-    w, Q = state._weights()
+    w, Q = state.weights
     X = (Q * w) @ Q.T / w.sum()
     return (X + X.T) / 2.0
 
@@ -149,7 +164,7 @@ def exact_gram_vectors(X: np.ndarray | MmwuState, b) -> GramVectors:
     b = np.asarray(b, dtype=float)
     scale = 1.0 / np.sqrt(b)
     if isinstance(X, MmwuState):
-        w, Q = X._weights()
+        w, Q = X.weights
         return GramVectors(Q * np.sqrt(w / w.sum()) * scale[:, None], flavor="exact")
     Y = X * scale[:, None] * scale[None, :]
     lam, Q = _eigh(Y)

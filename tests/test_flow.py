@@ -157,7 +157,8 @@ def test_consistent_cut_always_audits_the_ratio(monkeypatch):
 
 def test_consistent_cut_reuses_the_last_search(monkeypatch):
     # consistent_min_cut reads the residual source side that max_flow's final
-    # search found; it runs no search of its own.
+    # search found; it runs no search of its own.  max_flow's every search
+    # goes through the patched helper, so an empty call list proves it.
     import bipratio.flow as flow_mod
 
     calls = []
@@ -170,10 +171,13 @@ def test_consistent_cut_reuses_the_last_search(monkeypatch):
         n = int(rng.integers(2, 7))
         G = random_test_graph(rng, n, w_max=3, random_b=True)
         net = build_network(build_auxiliary_graph(G), range(n), (), 1)
+        calls.clear()
         flow = max_flow(net)
+        assert calls
         if is_saturating(net, flow):
             continue
-        level = real_bfs(net)
+        level, _ = real_bfs(net)
+        assert net.sink not in flow.source_side
         assert flow.source_side == {v for v, lv in enumerate(level) if lv >= 0}
         calls.clear()
         consistent_min_cut(net, flow)

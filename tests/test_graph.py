@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,27 @@ def test_graph_validation():
         WeightedGraph(3, ((0, 1, 1),))  # isolated vertex, default b
     G = WeightedGraph(3, ((0, 1, 1),), (1, 1, 1))
     assert G.b == (1, 1, 1)
+
+
+@pytest.mark.parametrize("edges, b", [
+    (((0, 1, 2.5), (1, 2, 1)), None),  # fractional edge weight
+    (((0.9, 1, 1), (1, 2, 1)), None),  # fractional endpoint
+    (((0, 1, 1), (1, 2.5, 1)), None),
+    (((0, 1, 1), (1, 2, 1)), (1.7, 1, 1)),  # fractional vertex weight
+    (((0, 1, 1), (1, 2, 1)), np.array([1.0, 1.5, 1.0])),
+])
+def test_graph_rejects_non_integral_input(edges, b):
+    # int() would truncate these, silently giving the ratio of another graph.
+    with pytest.raises(ValueError, match="integers"):
+        WeightedGraph(3, edges, b)
+
+
+def test_graph_accepts_integral_numbers():
+    edges = ((np.int64(0), 1.0, np.int32(2)), (1, np.float64(2.0), 3))
+    G = WeightedGraph(3, edges, (np.int64(1), 2.0, np.float64(3.0)))
+    assert G == WeightedGraph(3, ((0, 1, 2), (1, 2, 3)), (1, 2, 3))
+    assert all(type(x) is int for edge in G.edges for x in edge)
+    assert all(type(x) is int for x in G.b)
 
 
 def test_parallel_edges_stay_distinct():

@@ -279,8 +279,10 @@ def test_state_solves_once(monkeypatch):
     monkeypatch.setattr(spectral, "_eigh", lambda A: calls.append(1) or real(A))
     state = _random_state(np.random.default_rng(2), 6)
     X = density_matrix(state)
+    weights = state.weights
     exact_gram_vectors(state, np.ones(6))
     assert np.array_equal(density_matrix(state), X)
     assert len(calls) == 1
+    assert state.weights is weights  # exp(-delta * lam) is formed once too
     density_matrix(state.advance(np.eye(6)))
     assert len(calls) == 2
