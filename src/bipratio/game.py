@@ -70,8 +70,9 @@ class GameParams:
     The ratio guess 1/k is not among them: it is the game's own argument.
     Fields left as None are resolved per graph: T = max(16, ceil(9 ln^2 n))
     rounds and max_attempts = ceil(8 ln n) + 8 Gaussian samples per round.
-    The step size must satisfy 4 * delta < 1, and ``restarts`` bounds the
-    rounding retries across one game.
+    A game plays at least one round, the step size must satisfy
+    4 * delta < 1, and ``restarts`` bounds the rounding retries across one
+    game.
     """
 
     seed: int = 0
@@ -85,6 +86,8 @@ class GameParams:
         rounds = self.rounds if self.rounds is not None else max(16, math.ceil(9.0 * ln_n**2))
         attempts = (self.max_attempts if self.max_attempts is not None
                     else math.ceil(8.0 * ln_n) + 8)
+        if rounds < 1:
+            raise ValueError(f"a game needs at least one round, got rounds={rounds}")
         if not (0.0 < self.delta and 4.0 * self.delta < 1.0):
             raise ValueError(f"step size must satisfy 0 < 4*delta < 1, got {self.delta}")
         return replace(self, rounds=rounds, max_attempts=attempts)

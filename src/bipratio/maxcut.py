@@ -2,9 +2,12 @@
 
 Each level runs the ratio sweep with degree vertex weights, commits the
 witness tripartition (L, R, Z), recurses on the subgraph induced by Z, and
-merges the recursive bipartition in whichever of the two orientations cuts
-more weight.  Uncut weight committed at a level is tied exactly to the
-witness ratio: internal(L) + internal(R) + boundary/2 equals
+returns one side of its bipartition in its own graph's vertex ids; the other
+side is the complement.  The side is L plus a left part of Z: the recursive
+side, mapped back, and the vertices that Z leaves isolated whose top-level
+id is even.  The level keeps that, or L plus the rest of Z if it cuts
+strictly more weight.  Uncut weight committed at a level is tied exactly to
+the witness ratio: internal(L) + internal(R) + boundary/2 equals
 beta(x) * vol(L u R) / 2, and the better orientation never leaves more than
 half the boundary uncut.  Both identities are asserted on every run.
 
@@ -16,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import EmptyGraphError
-from .game import GameParams, SweepResult, approx_bipartiteness
+from .game import GameParams, approx_bipartiteness
 from .graph import Ratio, WeightedGraph, tripartition
 
 
@@ -28,9 +31,11 @@ def cut_value(G: WeightedGraph, S: Iterable[int]) -> Ratio:
     total = G.total_weight
     if total == 0:
         raise EmptyGraphError("cut value of an edgeless graph is undefined")
-    S = frozenset(S)
-    crossing = sum(w for u, v, w in G.edges if (u in S) != (v in S))
-    return Fraction(crossing, total)
+    return Fraction(_cut_weight(G, frozenset(S)), total)
+
+
+def _cut_weight(G: WeightedGraph, side: frozenset[int]) -> int:
+    return sum(w for u, v, w in G.edges if (u in side) != (v in side))
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,7 @@ def induced_subgraph(G: WeightedGraph, Z: Iterable[int]) -> InducedSubgraph:
 
 @dataclass(frozen=True)
 class LevelTrace:
-    """Per-level accounting of one recursion step (parent-graph vertex ids)."""
+    """Per-level accounting of one recursion step (top-level vertex ids)."""
 
     L: frozenset[int]
     R: frozenset[int]
@@ -91,17 +96,6 @@ class CutResult:
     trace: tuple[LevelTrace, ...]
 
 
-def _split_isolated(vertices: Sequence[int]) -> tuple[set[int], set[int]]:
-    # Isolated vertices touch no edge; place them deterministically by parity.
-    left = {v for v in vertices if v % 2 == 0}
-    right = {v for v in vertices if v % 2 == 1}
-    return left, right
-
-
-def _bipartition_cut_weight(G: WeightedGraph, left: frozenset[int]) -> int:
-    return sum(w for u, v, w in G.edges if (u in left) != (v in left))
-
-
 def recursive_bipart(G: WeightedGraph, params: GameParams | None = None) -> CutResult:
     """Recursive bipartitioning max cut.  Needs at least one edge.
 
@@ -114,64 +108,48 @@ def recursive_bipart(G: WeightedGraph, params: GameParams | None = None) -> CutR
         raise EmptyGraphError("max cut of an edgeless graph is undefined")
     params = params or GameParams()
     top = induced_subgraph(G, range(G.n))
-    iso_left, _ = _split_isolated(top.isolated)
-    L, _, trace = _solve_level(top.graph, top.ids, 0, params, top.graph.n)
-    L = set(L) | iso_left
-    value = cut_value(G, L)
-    return CutResult(frozenset(L), value, tuple(trace))
+    side, trace = _solve_level(top.graph, top.ids, 0, params, top.graph.n)
+    S = frozenset(top.ids[i] for i in side).union(v for v in top.isolated if v % 2 == 0)
+    return CutResult(S, cut_value(G, S), tuple(trace))
 
 
 def _solve_level(G: WeightedGraph, ids: tuple[int, ...], level: int,
                  params: GameParams, n_top: int):
+    """One recursion step on G, whose vertex i is top-level vertex ids[i].
+
+    Returns one side of G's bipartition, in G's own ids (the other side is
+    its complement), and the traces of this level and the deeper ones.
+    ``ids`` only names the trace's sets and places the vertices that Z
+    leaves isolated, by the parity of their top-level id.
+    """
     # Every level removes at least one vertex of the top-level graph, so the
     # depth never exceeds that graph's vertex count.
     if level > n_top:
         raise AssertionError("recursion depth exceeded the vertex count")
-    res: SweepResult = approx_bipartiteness(G, params, seed_path=(params.seed, 2, level))
-    L_loc, R_loc, Z_loc = tripartition(res.x_best)
+    res = approx_bipartiteness(G, params, seed_path=(params.seed, 2, level))
+    L, R, Z = tripartition(res.x_best)
     w_internal = sum(w for u, v, w in G.edges
-                     if (u in L_loc and v in L_loc) or (u in R_loc and v in R_loc))
-    w_boundary = sum(w for u, v, w in G.edges if (u in Z_loc) != (v in Z_loc))
-    vol = sum(G.deg[i] for i in L_loc | R_loc)
+                     if (u in L and v in L) or (u in R and v in R))
+    w_boundary = sum(w for u, v, w in G.edges if (u in Z) != (v in Z))
+    vol = sum(G.deg[i] for i in L | R)
     # The witness ratio ties down exactly what this level can leave uncut.
     if Fraction(2 * w_internal + w_boundary) != res.beta * vol:
         raise AssertionError("level accounting disagrees with the witness ratio")
-    L = {ids[i] for i in L_loc}
-    R = {ids[i] for i in R_loc}
-    if not Z_loc:
-        uncut = Fraction(G.total_weight - _bipartition_cut_weight(G, frozenset(L_loc)))
-        trace = LevelTrace(frozenset(L), frozenset(R), frozenset(), res.beta,
-                           w_internal, w_boundary, vol, uncut)
-        return L, R, [trace]
-    sub = induced_subgraph(G, Z_loc)
-    iso_left, iso_right = _split_isolated(tuple(ids[i] for i in sub.isolated))
-    if sub.graph is None:
-        L2, R2 = iso_left, iso_right
-        sub_trace: list[LevelTrace] = []
-        sub_uncut = Fraction(0)
-    else:
-        sub_ids = tuple(ids[i] for i in sub.ids)
-        L2, R2, sub_trace = _solve_level(sub.graph, sub_ids, level + 1, params, n_top)
-        L2 = L2 | iso_left
-        R2 = R2 | iso_right
-        sub_uncut = sub_trace[0].uncut
-    cand_a = L | L2
-    cand_b = L | R2
-    zmap = frozenset(ids[i] for i in Z_loc)
-    wa = _bipartition_cut_weight_from(G, ids, cand_a)
-    wb = _bipartition_cut_weight_from(G, ids, cand_b)
-    chosen = cand_a if wa >= wb else cand_b
-    chosen_other = (R | R2) if wa >= wb else (R | L2)
-    uncut = Fraction(G.total_weight - max(wa, wb))
-    bound = w_internal + Fraction(w_boundary, 2) + sub_uncut
-    if uncut > bound:
+    side, deeper, sub_uncut = L, [], Fraction(0)
+    if Z:
+        sub = induced_subgraph(G, Z)
+        left = {i for i in sub.isolated if ids[i] % 2 == 0}
+        if sub.graph is not None:
+            sub_side, deeper = _solve_level(sub.graph, tuple(ids[i] for i in sub.ids),
+                                            level + 1, params, n_top)
+            left.update(sub.ids[j] for j in sub_side)
+            sub_uncut = deeper[0].uncut
+        first, second = L | left, L | (Z - left)
+        side = second if _cut_weight(G, second) > _cut_weight(G, first) else first
+    uncut = Fraction(G.total_weight - _cut_weight(G, side))
+    if uncut > w_internal + Fraction(w_boundary, 2) + sub_uncut:
         raise AssertionError("level accounting identity violated")
-    trace = LevelTrace(frozenset(L), frozenset(R), zmap, res.beta,
+    trace = LevelTrace(frozenset(ids[i] for i in L), frozenset(ids[i] for i in R),
+                       frozenset(ids[i] for i in Z), res.beta,
                        w_internal, w_boundary, vol, uncut)
-    return set(chosen), set(chosen_other), [trace] + sub_trace
-
-
-def _bipartition_cut_weight_from(G: WeightedGraph, ids: tuple[int, ...],
-                                 left_orig: set[int]) -> int:
-    left_local = frozenset(i for i, orig in enumerate(ids) if orig in left_orig)
-    return _bipartition_cut_weight(G, left_local)
+    return side, [trace] + deeper

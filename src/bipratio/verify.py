@@ -18,7 +18,7 @@ import numpy as np
 from .flow import build_network, consistent_min_cut, cut_capacity, decompose_flow, \
     demand_graph, is_saturating, max_flow
 from .game import Certificate, GameParams, approx_bipartiteness, cut_matching_game
-from .generators import planted_bipartite
+from .generators import _patch_isolated, planted_bipartite
 from .graph import WeightedGraph, aux_cut_ratio, build_auxiliary_graph, \
     evaluate_beta, tripartition
 from .maxcut import recursive_bipart
@@ -40,16 +40,8 @@ def random_test_graph(rng: np.random.Generator, n: int, w_max: int = 3,
         for j in range(i + 1, n):
             if rng.random() < p:
                 edges.append((i, j, int(rng.integers(1, w_max + 1))))
-    deg = [0] * n
-    for u, v, _ in edges:
-        deg[u] += 1
-        deg[v] += 1
-    for i in range(n):
-        if deg[i] == 0 and n >= 2:
-            j = (i + 1) % n
-            edges.append((min(i, j), max(i, j), 1))
-            deg[i] += 1
-            deg[j] += 1
+    if n >= 2:
+        edges = _patch_isolated(n, edges)
     b = tuple(int(x) for x in rng.integers(1, b_max + 1, size=n)) if random_b else None
     return WeightedGraph(n, tuple(edges), b)
 
@@ -88,18 +80,7 @@ def all_connected_graphs(n_max: int):
                           if (bits >> idx) & 1)
             if not _is_connected(n, edges):
                 continue
-            if n == 1:
-                yield WeightedGraph(1, (), (1,))
-            elif all(d > 0 for d in _degrees(n, edges)):
-                yield WeightedGraph(n, edges)
-
-
-def _degrees(n, edges):
-    deg = [0] * n
-    for u, v, w in edges:
-        deg[u] += w
-        deg[v] += w
-    return deg
+            yield WeightedGraph(n, edges, (1,) if n == 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +201,7 @@ def check_regret(runs: int = 25, seed: int = 5, graph: WeightedGraph | None = No
     delta = 0.125
     certs: list[tuple[WeightedGraph, Certificate]] = []
     if graph is not None:
-        outcome = cut_matching_game(graph, k or 1, GameParams(seed=seed))
+        outcome = cut_matching_game(graph, 1 if k is None else k, GameParams(seed=seed))
         if isinstance(outcome, Certificate):
             certs.append((graph, outcome))
     rng = np.random.default_rng([seed, 14])

@@ -145,6 +145,23 @@ def test_solver_failure_exit_code(k3_file, capsys):
     assert main(["approx", "--graph", k3_file, "--t-proj", "0"]) == 3
 
 
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_approx_rounds_below_one_exit_code(rounds, k3_file):
+    proc = run_cli(["approx", "--graph", k3_file, "--rounds", rounds])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: a game needs at least one round, got rounds={rounds}"]
+
+
+def test_verify_regret_passes_k_zero_on(k3_file, capsys):
+    # k = 0 is rejected by the game, not replaced by k = 1.
+    assert main(["verify", "--check", "regret", "--graph", k3_file, "--k", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: k must be a positive integer, got 0"]
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["exact", "--graph", "/nonexistent/file.txt"]) == 2
 

@@ -87,6 +87,18 @@ def test_params_resolution():
         GameParams(delta=0.3).resolve(8)  # 4 * delta >= 1
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_games_need_at_least_one_round(rounds, k3):
+    # A game of no rounds used to return a certificate with nothing behind it.
+    with pytest.raises(ValueError, match="at least one round"):
+        GameParams(rounds=rounds).resolve(3)
+    with pytest.raises(ValueError, match="at least one round"):
+        cut_matching_game(k3, 1, GameParams(rounds=rounds))
+    with pytest.raises(ValueError, match="at least one round"):
+        approx_bipartiteness(k3, GameParams(rounds=rounds))
+    assert GameParams(rounds=1).resolve(3).rounds == 1
+
+
 def test_game_rejects_bad_k(k3):
     # k is the game's own argument, validated where its network is built.
     for k in (0, 1.5):

@@ -1,0 +1,81 @@
+"""Static guard over the package source: nothing imported or defined in vain.
+
+Every import must be read somewhere in its module (``__init__.py`` re-exports
+its imports, and a line marked ``# noqa: F401`` is exempt), and every private
+module-level name must be read by some statement of the package other than the
+one that defines it.  Stdlib ``ast`` only, so it runs wherever the tests run.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bipratio"
+
+
+def _modules() -> dict[str, tuple[list[str], ast.Module]]:
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        out[path.name] = (text.splitlines(), ast.parse(text, str(path)))
+    return out
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names read under node: loaded names and attribute names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _defines(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)]
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, (lines, tree) in _modules().items():
+        if name == "__init__.py":
+            continue
+        read = _reads(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound in read or "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                unused.append(f"{name}:{alias.lineno}: {alias.name}")
+    assert unused == []
+
+
+def test_no_unreferenced_private_names():
+    modules = _modules()
+    statements = [stmt for _, tree in modules.values() for stmt in tree.body]
+    reads = [_reads(stmt) for stmt in statements]
+    dead = []
+    for module, (_, tree) in modules.items():
+        for stmt in tree.body:
+            for name in _defines(stmt):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if not any(name in seen for other, seen in zip(statements, reads)
+                           if other is not stmt):
+                    dead.append(f"{module}:{stmt.lineno}: {name}")
+    assert dead == []
