@@ -43,7 +43,7 @@ paths = decompose_flow(net, flow)
 for p in paths:
     print("  path through doubled nodes", p.nodes, "x", p.units)
 M = demand_graph(paths, net)
-print("  demand graph:", M.pairs, " degree of 0:", M.degree(0), "= 2*b(0)")
+print("  demand graph:", M.pairs, " degree of 0:", M.degrees()[0], "= 2*b(0)")
 
 # A failing selection on the 4-cycle hands back a perfect bipartition.
 c4 = cycle(4)

@@ -35,15 +35,16 @@ exact_norms = Y.diagonal()
 
 eps = 0.25
 tau = min(1.0 / (12.0 * n**1.5), 1e-9)
-grams = approx_gram_vectors(accumulated, delta, b, eps, tau, rng)
-approx_norms = (grams.vectors**2).sum(axis=1)
+V = approx_gram_vectors(accumulated, delta, b, eps, tau, rng)
+d = V.shape[1]
+approx_norms = (V**2).sum(axis=1)
 
-print(f"sketch dimension d = {grams.dim} for n = {n}")
+print(f"sketch dimension d = {d} for n = {n}")
 rel = np.abs(approx_norms - exact_norms) / exact_norms
 print(f"norm errors: max relative {rel.max():.4f} (target {eps})")
 assert np.all(rel <= eps)
 
-Ghat = grams.vectors @ grams.vectors.T
+Ghat = V @ V.T
 pair_exact = exact_norms[:, None] + exact_norms[None, :] + 2 * Y
 pair_hat = approx_norms[:, None] + approx_norms[None, :] + 2 * Ghat
 err = np.abs(pair_hat - pair_exact)
@@ -52,7 +53,7 @@ print(f"pairwise-sum errors: max {err.max():.5f} vs "
 
 # The Taylor truncation itself: error decays factorially past e^2 * ||A||.
 A = -delta * accumulated
-U = jl_sign_matrix(grams.dim, n, rng)
+U = jl_sign_matrix(d, n, rng)
 W = sym_expm(A / 2.0) @ U.T
 for order in (2, 5, 10, 20, 40):
     Z = taylor_apply_exp_half(A, U, order)

@@ -65,7 +65,6 @@ from .graphio import dump_graph, dumps_graph, load_graph, loads_graph
 from .maxcut import CutResult, cut_value, induced_subgraph, recursive_bipart
 from .oracle import brute_beta, brute_maxcut, brute_well_linked
 from .spectral import (
-    GramVectors,
     MmwuState,
     RoundedCut,
     approx_gram_vectors,

@@ -31,13 +31,13 @@ from .errors import (
     SaturatingFlowError,
     TooLargeError,
 )
-from .game import GameParams, approx_bipartiteness
+from .game import RESTARTS, GameParams, approx_bipartiteness
 from .generators import complete, cycle, gnp, planted_bipartite
 from .graph import WeightedGraph, tripartition
 from .graphio import dumps_graph, load_graph
 from .maxcut import recursive_bipart
 from .oracle import brute_beta, brute_maxcut, brute_well_linked
-from .verify import CHECKS, run_checks
+from .verify import CHECKS, SMALLEST_N, run_checks
 
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
@@ -147,7 +147,7 @@ def cmd_approx(args) -> int:
 
 def _params_json(params: GameParams) -> dict:
     return {"delta": params.delta, "rounds": params.rounds,
-            "max_attempts": params.max_attempts, "restarts": params.restarts}
+            "max_attempts": params.max_attempts, "restarts": RESTARTS}
 
 
 def cmd_exact(args) -> int:
@@ -241,7 +241,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = [args.check] if args.check else None
+    names = [args.check] if args.check else list(CHECKS)
+    # A check over an empty corpus, or one it cannot draw, proves nothing.
+    if args.trials is not None and args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.n is not None:
+        low, name = max((SMALLEST_N.get(name, 0), name) for name in names)
+        if args.n < low:
+            raise ValueError(f"--n must be at least {low} for check {name}, got {args.n}")
     overrides = {"seed": args.seed, "n_max": args.n, "runs": args.trials,
                  "graphs": args.trials, "count": args.trials,
                  "random_instances": args.trials, "k": args.k,
@@ -252,7 +259,7 @@ def cmd_verify(args) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         failures += not ok
     if failures:
-        print(f"{failures} check(s) failed")
+        print(f"{failures} check(s) failed", file=sys.stderr)
         return EXIT_VERIFY
     return 0
 

@@ -448,23 +448,15 @@ class DemandMultigraph:
     Self-loops (a path entering the plus copy and leaving the minus copy of
     one vertex) are allowed and count twice toward the degree.  The usage
     ledger maps a base edge id to the flow units routed through each of its
-    two doubled copies.
+    two doubled copies.  The graph owns the dicts it is given: they are
+    kept, not copied, so a caller hands them over and stops writing to them.
     """
 
     def __init__(self, n: int, pairs: dict[tuple[int, int], int] | None = None,
                  usage: dict[tuple[int, int], int] | None = None):
         self.n = n
-        self.pairs: dict[tuple[int, int], int] = dict(pairs or {})
-        self.usage: dict[tuple[int, int], int] = dict(usage or {})
-
-    def degree(self, i: int) -> int:
-        d = 0
-        for (a, b), c in self.pairs.items():
-            if a == i:
-                d += c
-            if b == i:
-                d += c
-        return d
+        self.pairs: dict[tuple[int, int], int] = {} if pairs is None else pairs
+        self.usage: dict[tuple[int, int], int] = {} if usage is None else usage
 
     def degrees(self) -> list[int]:
         d = [0] * self.n
@@ -481,13 +473,9 @@ class DemandMultigraph:
         return (self.usage.get((base_edge, 0), 0), self.usage.get((base_edge, 1), 0))
 
     @staticmethod
-    def union(graphs: Sequence["DemandMultigraph"], n: int | None = None) -> "DemandMultigraph":
-        """Sum of the graphs' multiplicities and usage, keys in first-seen order."""
-        if not graphs:
-            if n is None:
-                raise ValueError("empty union needs an explicit vertex count")
-            return DemandMultigraph(n)
-        n = graphs[0].n
+    def union(graphs: Sequence["DemandMultigraph"], n: int) -> "DemandMultigraph":
+        """Sum of the graphs' multiplicities and usage on n vertices, keys in
+        first-seen order; every graph must live on those n vertices."""
         pairs: dict[tuple[int, int], int] = {}
         usage: dict[tuple[int, int], int] = {}
         for g in graphs:

@@ -62,6 +62,9 @@ from .spectral import (
 # Certificates of graphs up to this many vertices carry beta(H) by brute force.
 BRUTE_CERT_LIMIT = 8
 
+# Rounds of one game that may fail Gaussian rounding and be retried.
+RESTARTS = 3
+
 
 @dataclass(frozen=True)
 class GameParams:
@@ -70,16 +73,15 @@ class GameParams:
     The ratio guess 1/k is not among them: it is the game's own argument.
     Fields left as None are resolved per graph: T = max(16, ceil(9 ln^2 n))
     rounds and max_attempts = ceil(8 ln n) + 8 Gaussian samples per round.
-    A game plays at least one round, the step size must satisfy
-    4 * delta < 1, and ``restarts`` bounds the rounding retries across one
-    game.
+    A game plays at least one round, draws at least one sample per round,
+    and the step size must satisfy 4 * delta < 1.  The rounding retries
+    across one game are bounded by the module constant ``RESTARTS``.
     """
 
     seed: int = 0
     rounds: int | None = None
     max_attempts: int | None = None
     delta: float = 0.125
-    restarts: int = 3
 
     def resolve(self, n: int) -> "GameParams":
         ln_n = math.log(max(n, 2))
@@ -88,6 +90,9 @@ class GameParams:
                     else math.ceil(8.0 * ln_n) + 8)
         if rounds < 1:
             raise ValueError(f"a game needs at least one round, got rounds={rounds}")
+        if attempts < 1:
+            raise ValueError("a round needs at least one Gaussian attempt, "
+                             f"got max_attempts={attempts}")
         if not (0.0 < self.delta and 4.0 * self.delta < 1.0):
             raise ValueError(f"step size must satisfy 0 < 4*delta < 1, got {self.delta}")
         return replace(self, rounds=rounds, max_attempts=attempts)
@@ -97,7 +102,6 @@ class GameParams:
 class RoundRecord:
     """One matched round: the chosen side, its demand graph, and tr(F X)."""
 
-    index: int
     side: frozenset[int]
     demand: DemandMultigraph
     inner: float
@@ -176,8 +180,8 @@ def play_round(net: FlowNetwork, state: MmwuState, rng: np.random.Generator,
     b = net.aux.base.b
     # Both read the state's one cached eigendecomposition.
     X = density_matrix(state)
-    grams = exact_gram_vectors(state, b)
-    rounded = gaussian_round(grams, b, rng, max_attempts)
+    V = exact_gram_vectors(state, b)
+    rounded = gaussian_round(V, b, rng, max_attempts)
     net.select(rounded.L, frozenset())
     flow = max_flow(net)
     if not is_saturating(net, flow):
@@ -201,7 +205,7 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
 
     Every witness is re-checked exactly (beta * k < 1 as rationals).  A
     round that fails Gaussian rounding is retried with fresh samples at the
-    same state, up to ``restarts`` times across the game, after which
+    same state, up to ``RESTARTS`` times across the game, after which
     GameFailed is raised.  Vertex weights are G's own; pass ``G.with_b(b)``
     for others.
     """
@@ -215,7 +219,7 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
         rng = np.random.default_rng([params.seed, 1, k])
     state = MmwuState.initial(G.n, params.delta)
     records: list[RoundRecord] = []
-    restarts_left = params.restarts
+    restarts_left = RESTARTS
     flow_solves = 0
     t = 1
     while t <= params.rounds:
@@ -233,10 +237,10 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
             if not beta * k < 1:
                 raise AssertionError("witness does not beat the ratio guess")
             return Witness(outcome.x, beta, k, t - 1, tuple(records), flow_solves)
-        records.append(RoundRecord(t, outcome.side, outcome.demand, outcome.inner))
+        records.append(RoundRecord(outcome.side, outcome.demand, outcome.inner))
         state = outcome.state
         t += 1
-    union = DemandMultigraph.union([r.demand for r in records], n=G.n)
+    union = DemandMultigraph.union([r.demand for r in records], G.n)
     lam = lambda_min(state.accumulated)
     beta_H = brute_beta(union, G.b)[0] if G.n <= BRUTE_CERT_LIMIT else None
     return Certificate(k, len(records), union, tuple(records), lam, beta_H,

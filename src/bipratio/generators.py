@@ -23,9 +23,9 @@ def _patch_isolated(n: int, edges: list[tuple[int, int, int]]) -> list[tuple[int
     return edges
 
 
-def gnp(n: int, p: float, w_max: int = 1, seed: int = 0,
-        allow_isolated: bool = False) -> WeightedGraph:
-    """Erdos-Renyi graph with uniform integer weights in 1..w_max."""
+def gnp(n: int, p: float, w_max: int = 1, seed: int = 0) -> WeightedGraph:
+    """Erdos-Renyi graph with uniform integer weights in 1..w_max; a vertex
+    left isolated is joined to its cyclic successor by a unit edge."""
     if n < 2:
         raise ValueError("gnp needs at least two vertices")
     if not (0.0 <= p <= 1.0):
@@ -39,9 +39,7 @@ def gnp(n: int, p: float, w_max: int = 1, seed: int = 0,
             if rng.random() < p:
                 w = int(rng.integers(1, w_max + 1))
                 edges.append((i, j, w))
-    if not allow_isolated:
-        edges = _patch_isolated(n, edges)
-    return WeightedGraph(n, tuple(edges))
+    return WeightedGraph(n, tuple(_patch_isolated(n, edges)))
 
 
 def planted_bipartite(n: int, p_cross: float, p_noise: float,

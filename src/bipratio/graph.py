@@ -137,27 +137,21 @@ def sign_vector(n: int, L: Iterable[int], R: Iterable[int]) -> SignVector:
     return tuple(x)
 
 
-def evaluate_beta(graph, x: Sequence[int], b: Sequence[int] | None = None) -> Ratio:
-    """Exact bipartiteness ratio of a nonzero sign vector.
-
-    ``graph`` is anything exposing ``n`` and ``weighted_edges()``; demand
-    multigraphs qualify, in which case self-loops (u == v) contribute
-    w * |2 x_u| to the numerator.  Raises ZeroVectorError on the all-zero
-    vector.
+def evaluate_beta(G: WeightedGraph, x: Sequence[int]) -> Ratio:
+    """Exact bipartiteness ratio of a nonzero sign vector under G's own
+    vertex weights.  Raises ZeroVectorError on the all-zero vector.
     """
-    if b is None:
-        b = graph.b
-    if len(x) != graph.n:
-        raise ValueError(f"sign vector length {len(x)} != vertex count {graph.n}")
+    if len(x) != G.n:
+        raise ValueError(f"sign vector length {len(x)} != vertex count {G.n}")
     den = 0
-    for bi, xi in zip(b, x):
+    for bi, xi in zip(G.b, x):
         if xi not in (-1, 0, 1):
             raise ValueError(f"sign vector entries must be -1, 0 or +1, got {xi}")
         den += bi * abs(xi)
     if den == 0:
         raise ZeroVectorError("bipartiteness ratio of the zero vector is undefined")
     num = 0
-    for u, v, w in graph.weighted_edges():
+    for u, v, w in G.edges:
         num += w * abs(x[u] + x[v])
     return Fraction(num, den)
 

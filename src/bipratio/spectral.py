@@ -49,15 +49,15 @@ def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
     deg_M(i) <= 2 b(i) the result has operator norm at most 4; the cap is
     enforced, the norm bound is a consequence.
     """
-    b = np.asarray(b, dtype=float)
+    b = np.asarray(b)
     if b.shape != (M.n,):
         raise ValueError(f"need {M.n} vertex weights, got shape {b.shape}")
     degs = M.degrees()
-    b_list = b.tolist()
+    b_list = b.tolist()  # Python ints stay exact; floats only rescale below
     for i, bi in enumerate(b_list):
         if degs[i] > 2 * bi:
             raise DegreeOverflowError(
-                f"demand degree {degs[i]} at vertex {i} exceeds 2*b = {2 * bi:g}")
+                f"demand degree {degs[i]} at vertex {i} exceeds 2*b = {2 * bi}")
     # Python floats, in pair order: the roundings of adding each term into F
     # in turn, without numpy scalar indexing.  Off the diagonal each key
     # writes its own entry; F + F.T then adds the (j, i) term, if any, to the
@@ -96,7 +96,6 @@ class MmwuState:
     n: int
     delta: float
     accumulated: np.ndarray
-    t: int = 1
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -112,10 +111,10 @@ class MmwuState:
 
     @staticmethod
     def initial(n: int, delta: float) -> "MmwuState":
-        return MmwuState(n, delta, np.zeros((n, n)), t=1)
+        return MmwuState(n, delta, np.zeros((n, n)))
 
     def advance(self, F: np.ndarray) -> "MmwuState":
-        return MmwuState(self.n, self.delta, self.accumulated + F, self.t + 1)
+        return MmwuState(self.n, self.delta, self.accumulated + F)
 
 
 def sym_expm(A: np.ndarray) -> np.ndarray:
@@ -134,42 +133,25 @@ def density_matrix(state: MmwuState) -> np.ndarray:
     return (X + X.T) / 2.0
 
 
-@dataclass(frozen=True)
-class GramVectors:
-    """Rows are vectors v_i with <v_i, v_j> ~= (D_b^{-1/2} X D_b^{-1/2})_ij.
-
-    flavor is "exact" (dimension n, inner products tight to eigensolver
-    accuracy) or "approx" (sketched dimension, norms and pairwise sums
-    preserved up to (1 +- eps) plus an additive tau).
-    """
-
-    vectors: np.ndarray
-    flavor: str
-    eps: float | None = None
-    tau: float | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-def exact_gram_vectors(X: np.ndarray | MmwuState, b) -> GramVectors:
-    """Gram decomposition of D_b^{-1/2} X D_b^{-1/2}.
+def exact_gram_vectors(X: np.ndarray | MmwuState, b) -> np.ndarray:
+    """Gram vectors of D_b^{-1/2} X D_b^{-1/2}: an n x n array V whose rows
+    v_i satisfy <v_i, v_j> = (D_b^{-1/2} X D_b^{-1/2})_ij to eigensolver
+    accuracy.
 
     Given a matrix X, factors it by its own eigendecomposition.  Given an
-    MmwuState, X is that state's density matrix, and the rows of
-    D_b^{-1/2} Q diag(sqrt(w / sum w)) are returned straight from the
-    state's cached eigendecomposition, with no further solve.
+    MmwuState, X is that state's density matrix, and V is
+    D_b^{-1/2} Q diag(sqrt(w / sum w)), read straight from the state's
+    cached eigendecomposition, with no further solve.
     """
     b = np.asarray(b, dtype=float)
     scale = 1.0 / np.sqrt(b)
     if isinstance(X, MmwuState):
         w, Q = X.weights
-        return GramVectors(Q * np.sqrt(w / w.sum()) * scale[:, None], flavor="exact")
+        return Q * np.sqrt(w / w.sum()) * scale[:, None]
     Y = X * scale[:, None] * scale[None, :]
     lam, Q = _eigh(Y)
     lam = np.clip(lam, 0.0, None)
-    return GramVectors(Q * np.sqrt(lam)[None, :], flavor="exact")
+    return Q * np.sqrt(lam)[None, :]
 
 
 def taylor_apply_exp_half(A: np.ndarray, U: np.ndarray, order: int) -> np.ndarray:
@@ -196,26 +178,16 @@ def jl_sign_matrix(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return (2.0 * signs - 1.0) / math.sqrt(d)
 
 
-def default_sketch_dim(n: int, eps: float) -> int:
-    return max(1, math.ceil(32.0 * math.log(max(n, 2)) / eps**2))
-
-
-def default_taylor_order(A: np.ndarray, n: int, tau: float) -> int:
-    # Infinity norm bounds the spectral norm for symmetric matrices.
-    norm_bound = max(1.0, float(np.abs(A).sum(axis=1).max()) if A.size else 1.0)
-    return math.ceil(max(math.e**2 * norm_bound, math.log(max(n, 2) / tau)))
-
-
 def approx_gram_vectors(accumulated: np.ndarray, delta: float, b, eps: float,
-                        tau: float, rng: np.random.Generator,
-                        dim: int | None = None, order: int | None = None) -> GramVectors:
+                        tau: float, rng: np.random.Generator) -> np.ndarray:
     """Sketched Gram vectors of the density matrix, without forming it.
 
-    Pipeline: draw a random sign sketch U, apply the truncated Taylor
-    expansion of exp(A/2) with A = -delta * accumulated to U.T, rescale rows
-    by b^{-1/2} and normalize by the sketched trace.  With the default
-    dimension and order, each norm and each pairwise-sum norm matches the
-    exact Gram vectors within (1 +- eps) plus tau, with high probability.
+    Pipeline: draw a d x n random sign sketch U, d = ceil(32 ln n / eps^2),
+    apply the truncated Taylor expansion of exp(A/2) with
+    A = -delta * accumulated to U.T, rescale rows by b^{-1/2} and normalize
+    by the sketched trace.  Returns the n x d array of rows; each norm and
+    each pairwise-sum norm matches the exact Gram vectors within
+    (1 +- eps) plus tau, with high probability.
     """
     n = accumulated.shape[0]
     if not (0 < eps <= 0.25):
@@ -224,15 +196,13 @@ def approx_gram_vectors(accumulated: np.ndarray, delta: float, b, eps: float,
         raise ValueError(f"tau must lie in (0, 1/(12 n^{{3/2}})], got {tau}")
     b = np.asarray(b, dtype=float)
     A = -delta * (accumulated + accumulated.T) / 2.0
-    if dim is None:
-        dim = default_sketch_dim(n, eps)
-    if order is None:
-        order = default_taylor_order(A, n, tau)
-    U = jl_sign_matrix(dim, n, rng)
-    Z = taylor_apply_exp_half(A, U, order)
+    dim = max(1, math.ceil(32.0 * math.log(max(n, 2)) / eps**2))
+    # Infinity norm bounds the spectral norm for symmetric matrices.
+    norm_bound = max(1.0, float(np.abs(A).sum(axis=1).max()) if A.size else 1.0)
+    order = math.ceil(max(math.e**2 * norm_bound, math.log(max(n, 2) / tau)))
+    Z = taylor_apply_exp_half(A, jl_sign_matrix(dim, n, rng), order)
     trace = float((Z * Z).sum())
-    vectors = Z / np.sqrt(b)[:, None] / math.sqrt(trace)
-    return GramVectors(vectors, flavor="approx", eps=eps, tau=tau)
+    return Z / np.sqrt(b)[:, None] / math.sqrt(trace)
 
 
 @dataclass(frozen=True)
@@ -245,9 +215,10 @@ class RoundedCut:
     attempts: int
 
 
-def gaussian_round(grams: GramVectors, b, rng: np.random.Generator,
+def gaussian_round(V: np.ndarray, b, rng: np.random.Generator,
                    max_attempts: int) -> RoundedCut:
-    """Project the Gram vectors onto a random Gaussian direction.
+    """Project the Gram vectors, the rows of the n x d array V, onto a
+    random Gaussian direction in R^d.
 
     A sample is accepted when the weighted squared mass sum_i b(i) v~_i^2
     reaches 1/4 (the expectation is 1, and the mass falls below 1/2 with
@@ -256,9 +227,8 @@ def gaussian_round(grams: GramVectors, b, rng: np.random.Generator,
     ``max_attempts`` rejections.
     """
     b = np.asarray(b, dtype=float)
-    V = grams.vectors
     for attempt in range(1, max_attempts + 1):
-        g = rng.standard_normal(grams.dim)
+        g = rng.standard_normal(V.shape[1])
         values = V @ g
         weighted = b * values**2
         if float(weighted.sum()) < 0.25:

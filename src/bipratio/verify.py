@@ -281,8 +281,8 @@ def check_gram_bounds(ns=(8, 16), seeds_count: int = 200, seed: int = 8,
             X = density_matrix(state)
             scale = 1.0 / np.sqrt(b.astype(float))
             Y = X * scale[:, None] * scale[None, :]
-            grams = approx_gram_vectors(acc, 0.125, b, eps, tau, rng)
-            Ghat = grams.vectors @ grams.vectors.T
+            V = approx_gram_vectors(acc, 0.125, b, eps, tau, rng)
+            Ghat = V @ V.T
             exact_pair = Y.diagonal()[:, None] + Y.diagonal()[None, :] + 2 * Y
             approx_pair = (Ghat.diagonal()[:, None] + Ghat.diagonal()[None, :]
                            + 2 * Ghat)
@@ -442,6 +442,10 @@ CHECKS = {
     "rounding-accept": check_rounding_acceptance,
     "flow-decomp": check_flow_decomposition,
 }
+
+# Smallest n_max from which each check that takes one can draw its graphs.
+SMALLEST_N = {"claim-equality": 2, "thm-linked": 2, "cert-sound": 3,
+              "maxcut-bipartite": 4, "maxcut-bound": 6}
 
 QUICK_OVERRIDES = {
     "claim-equality": dict(graphs=40, vectors=5, n_max=5),

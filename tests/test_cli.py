@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipratio import cli
 from bipratio.cli import main
@@ -17,6 +24,7 @@ from bipratio.errors import (
 )
 from bipratio.generators import complete, cycle
 from bipratio.graphio import dump_graph
+from bipratio.verify import SMALLEST_N
 
 
 @pytest.fixture
@@ -140,9 +148,39 @@ def test_bad_graph_file_exit_code(tmp_path, capsys):
     assert main(["exact", "--graph", str(path)]) == 2
 
 
-def test_solver_failure_exit_code(k3_file, capsys):
-    # Zero Gaussian attempts per round exhausts the restart budget at once.
-    assert main(["approx", "--graph", k3_file, "--t-proj", "0"]) == 3
+def test_solver_failure_exit_code(k3_file, capsys, monkeypatch):
+    # Rounding that never accepts a sample exhausts the restart budget.
+    from bipratio import game
+
+    def never_accepts(*args):
+        raise RoundFail("no acceptable sample")
+
+    monkeypatch.setattr(game, "gaussian_round", never_accepts)
+    assert main(["approx", "--graph", k3_file]) == 3
+    assert capsys.readouterr().err.startswith("solver failure (GameFailed): ")
+
+
+@pytest.mark.parametrize("t_proj", ["0", "-2"])
+def test_t_proj_below_one_exit_code(t_proj, k3_file, capsys):
+    assert main(["approx", "--graph", k3_file, "--t-proj", t_proj]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: a round needs at least one Gaussian attempt, "
+        f"got max_attempts={t_proj}"]
+
+
+def test_degree_cap_is_exact_beyond_float_precision(k3_file, tmp_path, capsys):
+    # 2 * b(i) for b(i) = 2**53 + 1 is not a float; the cap must still hold.
+    B = 2**53 + 1
+    weights = tmp_path / "b.txt"
+    weights.write_text(f"{B}\n{B}\n{B}\n")
+    graph = ["--graph", k3_file, "--weights", str(weights)]
+    assert main(["approx", *graph, "--rounds", "4", "--json"]) == 0
+    beta = json.loads(capsys.readouterr().out)["result"]["beta"]
+    assert Fraction(beta["num"], beta["den"]) == Fraction(2, 3 * B)
+    assert main(["exact", *graph]) == 0
+    assert f"beta = 2/{3 * B} " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("rounds", ["0", "-1"])
@@ -210,3 +248,89 @@ def test_internal_failures_exit_code(error, k3_file, capsys, monkeypatch):
     assert main(["maxcut", "--graph", k3_file]) == 3
     line = f"solver failure ({error.__name__}): audit failed: second line"
     assert capsys.readouterr().err.splitlines() == [line, line]
+
+
+@pytest.mark.parametrize("check,low", sorted(SMALLEST_N.items()))
+def test_verify_n_below_smallest_exit_code(check, low, capsys):
+    assert main(["verify", "--quick", "--check", check, "--n", str(low - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --n must be at least {low} for check {check}, got {low - 1}"]
+    assert main(["verify", "--quick", "--check", check, "--n", str(low),
+                 "--trials", "1"]) in (0, 4)
+
+
+@pytest.mark.parametrize("args", [["--check", "claim-equality"],
+                                  ["--check", "thm-linked"], []])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_empty_corpus_exit_code(args, trials, capsys):
+    assert main(["verify", "--quick", *args, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --trials must be at least 1, got {trials}"]
+
+
+# Checks whose quick corpora run in milliseconds at one or two trials.
+FAST_CHECKS = ["claim-equality", "thm-linked", "lemma-cut", "witness-exact",
+               "regret", "cert-sound", "demand-degree", "approx-quality",
+               "rounding-accept", "flow-decomp"]
+WEIGHTS = st.integers(1, 2**64)
+
+
+@st.composite
+def cli_runs(draw):
+    """Arguments of one command plus the graph and vertex-weight files it reads."""
+    command = draw(st.sampled_from(["approx", "exact", "maxcut", "verify"]))
+    flags = {"--seed": st.integers(0, 3)}
+    if command == "verify":
+        flags.update({"--n": st.integers(-1, 4), "--trials": st.integers(-1, 2),
+                      "--k": st.integers(-1, 3)})
+        args = ["verify", "--quick", "--check", draw(st.sampled_from(FAST_CHECKS))]
+        files = None
+    else:
+        n = draw(st.integers(1, 4))
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        edges = draw(st.lists(st.tuples(st.sampled_from(pairs), WEIGHTS), max_size=5)
+                     if pairs else st.just([]))
+        b = draw(st.none() | st.lists(WEIGHTS, min_size=n, max_size=n))
+        files = (f"{n} {len(edges)}\n" + "".join(f"{u} {v} {w}\n" for (u, v), w in edges),
+                 None if b is None else "".join(f"{x}\n" for x in b))
+        args = [command]
+        if command == "approx":
+            args += ["--rounds", str(draw(st.integers(-1, 4)))]
+            flags["--t-proj"] = st.integers(-1, 3)
+        if command in ("approx", "maxcut"):
+            flags["--delta"] = st.sampled_from([-0.125, 0.0, 1e-9, 0.125, 0.2499, 0.25])
+        if command == "exact":
+            args += ["--what", draw(st.sampled_from(["beta", "maxcut", "well-linked"]))]
+            flags["--k"] = st.integers(-1, 3) | st.just(2**64)
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            args += [flag, str(draw(values))]
+    return args, files
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cli_runs())
+def test_every_run_exits_with_a_documented_code(run):
+    # Either exit 0 with stdout, or exit 2, 3 or 4 with one line on stderr;
+    # never an escaped exception.
+    args, files = run
+    with tempfile.TemporaryDirectory() as tmp:
+        if files is not None:
+            graph_text, weights_text = files
+            graph = Path(tmp, "g.txt")
+            graph.write_text(graph_text)
+            args += ["--graph", str(graph)]
+            if weights_text is not None:
+                Path(tmp, "b.txt").write_text(weights_text)
+                args += ["--weights", str(Path(tmp, "b.txt"))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    if code == 0:
+        assert out.getvalue() and err.getvalue() == ""
+    else:
+        assert code in (2, 3, 4)
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")

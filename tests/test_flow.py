@@ -222,8 +222,9 @@ def test_demand_graph_k3_self_loop(k3):
     flow = max_flow(net)
     M = demand_graph(decompose_flow(net, flow), net)
     assert M.pairs == {(0, 0): 2}
-    assert M.degree(0) == 4 == 2 * k3.b[0]
-    assert M.degree(1) == 0
+    degs = M.degrees()
+    assert degs[0] == 4 == 2 * k3.b[0]
+    assert degs[1] == 0
 
 
 def test_demand_graph_empty_and_entry_exit(single_edge):
@@ -245,7 +246,7 @@ def test_demand_graph_cross_pair():
     assert is_saturating(net, flow)
     M = demand_graph(decompose_flow(net, flow), net)
     assert M.pairs == {(0, 1): 2}
-    assert M.degree(0) == 2 and M.degree(1) == 2
+    assert M.degrees() == [2, 2]
 
 
 def test_demand_graph_rejects_malformed(k3):
@@ -281,14 +282,14 @@ def test_per_copy_congestion_bounded():
 def test_demand_union():
     a = DemandMultigraph(3, {(0, 1): 1}, {(0, 0): 1})
     b = DemandMultigraph(3, {(0, 1): 2, (2, 2): 1}, {(0, 0): 2})
-    u = DemandMultigraph.union([a, b])
+    u = DemandMultigraph.union([a, b], 3)
     assert u.pairs == {(0, 1): 3, (2, 2): 1}
     assert list(u.pairs) == [(0, 1), (2, 2)]  # keys in first-seen order
     assert u.usage == {(0, 0): 3}
-    assert u.degree(2) == 2
-    assert DemandMultigraph.union([], n=5).n == 5
+    assert u.degrees()[2] == 2
+    assert DemandMultigraph.union([], 5).n == 5
     with pytest.raises(ValueError):
-        DemandMultigraph.union([a, DemandMultigraph(4)])
+        DemandMultigraph.union([a, DemandMultigraph(4)], 3)
 
 
 def test_flow_value_equals_enumerated_min_cut():

@@ -7,6 +7,7 @@ from bipratio import (
     Certificate,
     GameFailed,
     GameParams,
+    RoundFail,
     WeightedGraph,
     Witness,
     approx_bipartiteness,
@@ -76,8 +77,24 @@ def test_determinism_bitwise(k3):
 
 
 def test_round_cap_zero_attempts_fails(k3):
-    with pytest.raises(GameFailed):
+    # No round can be rounded without a sample, so the game refuses to start.
+    with pytest.raises(ValueError, match="at least one Gaussian attempt"):
         cut_matching_game(k3, 3, GameParams(seed=1, max_attempts=0))
+
+
+def test_restart_budget_ends_in_game_failed(k3, monkeypatch):
+    import bipratio.game as game
+
+    calls = []
+
+    def never_accepts(*args):
+        calls.append(1)
+        raise RoundFail("no acceptable sample")
+
+    monkeypatch.setattr(game, "gaussian_round", never_accepts)
+    with pytest.raises(GameFailed, match="restart budget"):
+        cut_matching_game(k3, 3, GameParams(seed=1))
+    assert len(calls) == game.RESTARTS + 1
 
 
 def test_params_resolution():
@@ -219,8 +236,9 @@ def test_one_eigensolve_per_round(monkeypatch):
                         lambda A: solves.append(1) or real_eigh(A))
     monkeypatch.setattr(game, "gaussian_round",
                         lambda *a: roundings.append(1) or real_round(*a))
+    monkeypatch.setattr(game, "RESTARTS", 10**6)
     G = gnp(12, 0.5, 3, seed=4)
-    params = GameParams(seed=3, max_attempts=1, restarts=10**6)
+    params = GameParams(seed=3, max_attempts=1)
     for k in (1, 2, 64):
         solves.clear()
         roundings.clear()

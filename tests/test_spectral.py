@@ -6,7 +6,6 @@ import pytest
 from bipratio import (
     DegreeOverflowError,
     DemandMultigraph,
-    GramVectors,
     MmwuState,
     RoundFail,
     approx_gram_vectors,
@@ -25,6 +24,15 @@ def test_demand_matrix_self_loop():
     assert F[0, 0] == pytest.approx(4.0)
     assert F[0, 1] == F[1, 0] == F[1, 1] == 0.0
     assert lambda_max(F) <= 4.0 + 1e-8
+
+
+def test_degree_cap_is_checked_in_integers():
+    # 2 * b for b = 2**53 + 1 rounds down as a float; the cap compares ints.
+    B = 2**53 + 1
+    F = demand_matrix(DemandMultigraph(2, {(0, 1): 2 * B}), [B, B])
+    assert np.allclose(F, 2.0) and lambda_max(F) <= 4.0 + 1e-8
+    with pytest.raises(DegreeOverflowError, match=f"exceeds 2\\*b = {2 * B}$"):
+        demand_matrix(DemandMultigraph(2, {(0, 1): 2 * B + 1}), [B, B])
 
 
 def test_demand_matrix_empty_and_edge():
@@ -90,14 +98,14 @@ def test_density_trace_and_psd_random():
 
 def test_exact_gram_uniform():
     g = exact_gram_vectors(np.eye(4) / 4, (1, 1, 1, 1))
-    norms = (g.vectors**2).sum(axis=1)
+    norms = (g**2).sum(axis=1)
     assert np.allclose(norms, 0.25)
-    assert g.flavor == "exact"
+    assert g.shape == (4, 4)
 
 
 def test_exact_gram_degree_weights_k3():
     g = exact_gram_vectors(np.eye(3) / 3, (2, 2, 2))
-    norms = (g.vectors**2).sum(axis=1)
+    norms = (g**2).sum(axis=1)
     assert np.allclose(norms, 1.0 / 6.0)
     assert sum(2 * x for x in norms) == pytest.approx(1.0, abs=1e-9)
 
@@ -105,7 +113,7 @@ def test_exact_gram_degree_weights_k3():
 def test_exact_gram_rank_one():
     u = np.array([0.6, 0.8])
     g = exact_gram_vectors(np.outer(u, u), (1, 1))
-    G = g.vectors @ g.vectors.T
+    G = g @ g.T
     assert np.allclose(G, np.outer(u, u), atol=1e-10)
 
 
@@ -117,7 +125,7 @@ def test_exact_gram_weighted_sum_is_one():
         X = density_matrix(MmwuState(n, 0.125, B @ B.T))
         b = rng.integers(1, 5, size=n)
         g = exact_gram_vectors(X, b)
-        total = float((b * (g.vectors**2).sum(axis=1)).sum())
+        total = float((b * (g**2).sum(axis=1)).sum())
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -167,7 +175,7 @@ def test_approx_gram_zero_accumulated_norms_exact():
     rng = np.random.default_rng(9)
     tau = min(1.0 / (12.0 * n**1.5), 1e-9)
     g = approx_gram_vectors(np.zeros((n, n)), 0.125, b, 0.25, tau, rng)
-    norms = (g.vectors**2).sum(axis=1)
+    norms = (g**2).sum(axis=1)
     assert np.allclose(norms, 1.0 / n, atol=1e-12)
 
 
@@ -179,7 +187,7 @@ def test_approx_gram_weighted_sum_exactly_one():
     b = rng.integers(1, 5, size=n)
     tau = min(1.0 / (12.0 * n**1.5), 1e-9)
     g = approx_gram_vectors(acc, 0.125, b, 0.25, tau, rng)
-    total = float((b * (g.vectors**2).sum(axis=1)).sum())
+    total = float((b * (g**2).sum(axis=1)).sum())
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -196,7 +204,7 @@ def test_gaussian_round_singleton_acceptance_rate():
     # One vertex carrying the whole mass: accept iff g^2 >= 1/4, i.e. with
     # probability 2 * (1 - Phi(1/2)) ~= 0.617.
     rng = np.random.default_rng(12)
-    vectors = GramVectors(np.array([[1.0]]), flavor="exact")
+    vectors = np.array([[1.0]])
     accepted = 0
     trials = 20000
     for _ in range(trials):
@@ -211,7 +219,7 @@ def test_gaussian_round_singleton_acceptance_rate():
 
 def test_gaussian_round_swap_and_tie():
     # Opposite vectors with equal weights: masses tie, positive side kept.
-    vectors = GramVectors(np.array([[1.0], [-1.0]]), flavor="exact")
+    vectors = np.array([[1.0], [-1.0]])
     rng = np.random.default_rng(1)
     res = gaussian_round(vectors, [1, 1], rng, 50)
     g_effect = res.values[0]
@@ -223,7 +231,7 @@ def test_gaussian_round_swap_and_tie():
 
 
 def test_gaussian_round_fails_on_zero_vectors():
-    vectors = GramVectors(np.zeros((3, 2)), flavor="exact")
+    vectors = np.zeros((3, 2))
     with pytest.raises(RoundFail):
         gaussian_round(vectors, [1, 1, 1], np.random.default_rng(0), 5)
 
@@ -243,7 +251,7 @@ def test_inner_product_identity():
     inner = float((F * X).sum())
     total = 0.0
     for (i, j), c in pairs.items():
-        total += c * float(((g.vectors[i] + g.vectors[j]) ** 2).sum())
+        total += c * float(((g[i] + g[j]) ** 2).sum())
     assert inner == pytest.approx(total, abs=1e-7)
 
 
@@ -263,11 +271,11 @@ def test_state_gram_factor_matches_matrix_route():
         X = density_matrix(state)
         from_state = exact_gram_vectors(state, b)
         from_matrix = exact_gram_vectors(X, b)
-        assert from_state.flavor == "exact" and from_state.dim == n
-        gram = from_state.vectors @ from_state.vectors.T
+        assert from_state.shape == (n, n)
+        gram = from_state @ from_state.T
         assert np.allclose(gram, X * scale[:, None] * scale[None, :],
                            rtol=0.0, atol=1e-10)
-        assert np.allclose(gram, from_matrix.vectors @ from_matrix.vectors.T,
+        assert np.allclose(gram, from_matrix @ from_matrix.T,
                            rtol=0.0, atol=1e-10)
 
 

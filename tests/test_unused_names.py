@@ -3,7 +3,9 @@
 Every import must be read somewhere in its module (``__init__.py`` re-exports
 its imports, and a line marked ``# noqa: F401`` is exempt), and every private
 module-level name must be read by some statement of the package other than the
-one that defines it.  Stdlib ``ast`` only, so it runs wherever the tests run.
+one that defines it.  Every field of a dataclass or ``NamedTuple`` of the
+package must be read as an attribute somewhere in the repository's code.
+Stdlib ``ast`` only, so it runs wherever the tests run.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bipratio"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bipratio"
 
 
 def _modules() -> dict[str, tuple[list[str], ast.Module]]:
@@ -79,3 +82,30 @@ def test_no_unreferenced_private_names():
                            if other is not stmt):
                     dead.append(f"{module}:{stmt.lineno}: {name}")
     assert dead == []
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass (decorated, with or without arguments) or a NamedTuple."""
+    for node in cls.decorator_list + cls.bases:
+        if isinstance(node, ast.Call):
+            node = node.func
+        if isinstance(node, ast.Name) and node.id in ("dataclass", "NamedTuple"):
+            return True
+    return False
+
+
+def test_every_record_field_is_read():
+    fields = [(module, cls.name, stmt.target.id)
+              for module, (_, tree) in _modules().items()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and _is_record(cls)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    assert fields
+    read = set()
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            read.update(sub.attr for sub in ast.walk(tree)
+                        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+    unread = [f"{module}: {cls}.{name}" for module, cls, name in fields if name not in read]
+    assert unread == []
