@@ -13,6 +13,7 @@ or a failed internal audit), 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -42,6 +43,10 @@ from .verify import CHECKS, SMALLEST_N, run_checks
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
+
+# Each ``verify`` flag (argparse dest) sets one check parameter.
+VERIFY_FLAGS = {"seed": "seed", "trials": "trials", "n": "n_max", "graph": "graph",
+                "k": "k"}
 
 # Failures inside the solver, not in its input; AssertionError is what the
 # internal audits (max-flow = min-cut, demand degree law, level accounting,
@@ -242,6 +247,17 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     names = [args.check] if args.check else list(CHECKS)
+    given = {flag: param for flag, param in VERIFY_FLAGS.items()
+             if getattr(args, flag) is not None}
+    # The registry-wide run applies each flag to the checks that take it; a
+    # named check must take every flag given.
+    if args.check:
+        takes = inspect.signature(CHECKS[args.check]).parameters
+        for flag, param in given.items():
+            if param not in takes:
+                raise ValueError(f"check {args.check} takes no --{flag}")
+    if args.k is not None and args.graph is None:
+        raise ValueError("--k needs --graph")
     # A check over an empty corpus, or one it cannot draw, proves nothing.
     if args.trials is not None and args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
@@ -249,10 +265,9 @@ def cmd_verify(args) -> int:
         low, name = max((SMALLEST_N.get(name, 0), name) for name in names)
         if args.n < low:
             raise ValueError(f"--n must be at least {low} for check {name}, got {args.n}")
-    overrides = {"seed": args.seed, "n_max": args.n, "runs": args.trials,
-                 "graphs": args.trials, "count": args.trials,
-                 "random_instances": args.trials, "k": args.k,
-                 "graph": load_graph(args.graph) if args.graph else None}
+    overrides = {param: getattr(args, flag) for flag, param in given.items()}
+    if args.graph is not None:
+        overrides["graph"] = load_graph(args.graph)
     failures = 0
     for name, ok, detail in run_checks(names, quick=args.quick,
                                        overrides=overrides):
@@ -326,11 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run property checks")
     sp.add_argument("--quick", action="store_true", help="small corpora")
     sp.add_argument("--check", choices=sorted(CHECKS), help="run one check")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
+    sp.add_argument("--n", type=int, default=None,
+                    help="graph size cap (n_max) of the checks that draw sized graphs")
+    sp.add_argument("--trials", type=int, default=None,
+                    help="corpus size of every check")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--graph", default=None)
-    sp.add_argument("--k", type=int, default=None)
+    sp.add_argument("--graph", default=None,
+                    help="extra edge-list file for the regret check")
+    sp.add_argument("--k", type=int, default=None,
+                    help="ratio guess 1/k for --graph (regret check)")
     sp.set_defaults(func=cmd_verify)
     return p
 

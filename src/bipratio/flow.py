@@ -457,13 +457,18 @@ class DemandMultigraph:
         self.n = n
         self.pairs: dict[tuple[int, int], int] = {} if pairs is None else pairs
         self.usage: dict[tuple[int, int], int] = {} if usage is None else usage
+        self._degrees: list[int] | None = None
 
     def degrees(self) -> list[int]:
-        d = [0] * self.n
-        for (a, b), c in self.pairs.items():
-            d[a] += c
-            d[b] += c
-        return d
+        """Weighted degree of each vertex, counted on the first call since
+        the pairs no longer change; every call returns the same list."""
+        if self._degrees is None:
+            d = [0] * self.n
+            for (a, b), c in self.pairs.items():
+                d[a] += c
+                d[b] += c
+            self._degrees = d
+        return self._degrees
 
     def weighted_edges(self) -> Iterator[tuple[int, int, int]]:
         for (a, b) in sorted(self.pairs):

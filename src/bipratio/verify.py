@@ -3,7 +3,8 @@
 Each check exercises one structural guarantee of the library against an
 independent oracle (exhaustive enumeration, dense linear algebra, or a
 closed form) and returns (ok, detail).  The command line exposes them under
-``verify``; the acceptance test-suite calls them at full scale.  All
+``verify``; the acceptance test-suite calls them at full scale.  Every check
+takes its corpus size as ``trials`` and its base seed as ``seed``, and all
 randomness flows through explicit integer seeds.
 """
 
@@ -86,14 +87,14 @@ def all_connected_graphs(n_max: int):
 # ---------------------------------------------------------------------------
 # checks
 
-def check_claim_equality(graphs: int = 500, vectors: int = 20, n_max: int = 8,
-                         w_max: int = 5, b_max: int = 5, seed: int = 1):
+def check_claim_equality(trials: int = 500, vectors: int = 20, n_max: int = 8,
+                         seed: int = 1):
     """Sign-vector ratio equals the doubled-graph cut ratio, exactly."""
     rng = np.random.default_rng([seed, 10])
     tested = 0
-    for _ in range(graphs):
+    for _ in range(trials):
         n = int(rng.integers(2, n_max + 1))
-        G = random_test_graph(rng, n, w_max=w_max, random_b=True, b_max=b_max)
+        G = random_test_graph(rng, n, w_max=5, random_b=True, b_max=5)
         aux = build_auxiliary_graph(G)
         for _ in range(vectors):
             x = random_sign_vector(rng, n)
@@ -104,7 +105,7 @@ def check_claim_equality(graphs: int = 500, vectors: int = 20, n_max: int = 8,
     return True, f"{tested} (graph, vector) pairs agreed exactly"
 
 
-def check_well_linked_iff(n_small_max: int = 5, random_instances: int = 100,
+def check_well_linked_iff(n_small_max: int = 5, trials: int = 100,
                           ks=(1, 2, 3, 4), seed: int = 2,
                           n_max: int | None = None):
     """beta >= 1/k holds iff every symmetric selection saturates.
@@ -123,7 +124,7 @@ def check_well_linked_iff(n_small_max: int = 5, random_instances: int = 100,
                 if linked != (beta >= Fraction(1, k)):
                     return False, f"iff failed on n={G.n} edges={G.edges} k={k}"
                 checked += 1
-    for _ in range(random_instances):
+    for _ in range(trials):
         n = n_max if n_max is not None else int(rng.integers(6, 8))
         random_b = bool(rng.integers(0, 2))
         G = random_test_graph(rng, n, w_max=3, random_b=random_b)
@@ -136,11 +137,11 @@ def check_well_linked_iff(n_small_max: int = 5, random_instances: int = 100,
     return True, f"{checked} (graph, k) equivalences held"
 
 
-def check_consistent_cuts(count: int = 200, seed: int = 3):
+def check_consistent_cuts(trials: int = 200, seed: int = 3):
     """Reduced residual cuts keep the exact minimum cut value."""
     rng = np.random.default_rng([seed, 12])
     seen = 0
-    while seen < count:
+    while seen < trials:
         n = int(rng.integers(2, 8))
         G = random_test_graph(rng, n, w_max=3, random_b=bool(rng.integers(0, 2)))
         aux = build_auxiliary_graph(G)
@@ -159,16 +160,16 @@ def check_consistent_cuts(count: int = 200, seed: int = 3):
             if evaluate_beta(G, x) * k >= 1:
                 return False, f"reduced cut not below 1/k on n={n}"
             seen += 1
-            if seen >= count:
+            if seen >= trials:
                 break
     return True, f"{seen} non-saturating networks reduced at equal value"
 
 
-def check_witness_exact(runs: int = 40, seed: int = 4):
+def check_witness_exact(trials: int = 40, seed: int = 4):
     """Every witness satisfies beta * k < 1 by rational comparison."""
     rng = np.random.default_rng([seed, 13])
     witnesses = 0
-    for run in range(runs):
+    for run in range(trials):
         n = int(rng.integers(2, 10))
         G = random_test_graph(rng, n, w_max=3)
         res = approx_bipartiteness(G, GameParams(seed=seed * 1000 + run))
@@ -181,44 +182,44 @@ def check_witness_exact(runs: int = 40, seed: int = 4):
 
 
 def _certificate_runs(rng: np.random.Generator, runs: int, n_lo: int, n_hi: int,
-                      seed: int, w_max: int = 2):
+                      seed: int):
     """Sweeps on random graphs until `runs` certificates are collected."""
     out = []
     attempt = 0
     while len(out) < runs:
         attempt += 1
         n = int(rng.integers(n_lo, n_hi + 1))
-        G = random_test_graph(rng, n, w_max=w_max, p=0.6)
+        G = random_test_graph(rng, n, w_max=2, p=0.6)
         res = approx_bipartiteness(G, GameParams(seed=seed * 7919 + attempt))
         if res.certificate is not None:
             out.append((G, res))
     return out
 
 
-def check_regret(runs: int = 25, seed: int = 5, graph: WeightedGraph | None = None,
+def check_regret(trials: int = 25, seed: int = 5, graph: WeightedGraph | None = None,
                  k: int | None = None):
     """Smallest eigenvalue of the accumulated forms obeys the regret bound."""
-    delta = 0.125
+    params = GameParams(seed=seed)
     certs: list[tuple[WeightedGraph, Certificate]] = []
     if graph is not None:
-        outcome = cut_matching_game(graph, 1 if k is None else k, GameParams(seed=seed))
+        outcome = cut_matching_game(graph, 1 if k is None else k, params)
         if isinstance(outcome, Certificate):
             certs.append((graph, outcome))
     rng = np.random.default_rng([seed, 14])
-    for G, res in _certificate_runs(rng, runs, 3, 12, seed):
+    for G, res in _certificate_runs(rng, trials, 3, 12, seed):
         certs.append((G, res.certificate))
     for G, cert in certs:
         inners = [r.inner for r in cert.records]
         F_sum = sum((demand_matrix(r.demand, G.b) for r in cert.records),
                     np.zeros((G.n, G.n)))
         lhs = lambda_min(F_sum)
-        rhs = 0.5 * sum(inners) - math.log(G.n) / delta
+        rhs = 0.5 * sum(inners) - math.log(G.n) / params.delta
         if lhs < rhs - 1e-6:
             return False, f"regret bound violated: {lhs:.6f} < {rhs:.6f} (n={G.n})"
     return True, f"{len(certs)} certificate runs satisfied the regret bound"
 
 
-def check_certificate_soundness(runs: int = 100, n_max: int = 8, seed: int = 6):
+def check_certificate_soundness(trials: int = 100, n_max: int = 8, seed: int = 6):
     """Certificate ratio bounds: beta(G) >= beta(H)/(2kT), beta(H) >= lam/2.
 
     The rerouting denominator carries the factor two because each doubled
@@ -227,7 +228,7 @@ def check_certificate_soundness(runs: int = 100, n_max: int = 8, seed: int = 6):
     """
     rng = np.random.default_rng([seed, 15])
     done = 0
-    for G, res in _certificate_runs(rng, runs, 3, n_max, seed):
+    for G, res in _certificate_runs(rng, trials, 3, n_max, seed):
         cert = res.certificate
         beta_G = brute_beta(G)[0]
         beta_H = brute_beta(cert.union, G.b)[0]
@@ -242,11 +243,11 @@ def check_certificate_soundness(runs: int = 100, n_max: int = 8, seed: int = 6):
     return True, f"{done} certificates sound (rerouting and spectral bounds)"
 
 
-def check_demand_degree(runs: int = 30, seed: int = 7):
+def check_demand_degree(trials: int = 30, seed: int = 7):
     """Matched rounds: degree 2b on the side, 0 off it; ||F|| <= 4."""
     rng = np.random.default_rng([seed, 16])
     rounds_seen = 0
-    for run in range(runs):
+    for run in range(trials):
         n = int(rng.integers(2, 10))
         G = random_test_graph(rng, n, w_max=3)
         k = int(rng.integers(1, 9))
@@ -264,14 +265,14 @@ def check_demand_degree(runs: int = 30, seed: int = 7):
     return True, f"{rounds_seen} matched rounds obey the degree law and norm cap"
 
 
-def check_gram_bounds(ns=(8, 16), seeds_count: int = 200, seed: int = 8,
-                      min_pass: float = 0.95, audits: int = 20):
+def check_gram_bounds(ns=(8, 16), trials: int = 200, seed: int = 8, audits: int = 20):
     """Sketched Gram vectors track exact norms; dense pipeline error bound."""
     eps = 0.25
+    min_pass = 0.95
     for n in ns:
         tau = min(1.0 / (12.0 * n**1.5), 1e-9)
         passed = 0
-        for s in range(seeds_count):
+        for s in range(trials):
             rng = np.random.default_rng([seed, 17, n, s])
             B = rng.standard_normal((n, n))
             acc = B @ B.T
@@ -292,8 +293,8 @@ def check_gram_bounds(ns=(8, 16), seeds_count: int = 200, seed: int = 8,
                               <= eps * exact_pair + tau)
             if ok_norms and ok_pairs:
                 passed += 1
-        if passed < min_pass * seeds_count:
-            return False, f"n={n}: only {passed}/{seeds_count} seeds within bounds"
+        if passed < min_pass * trials:
+            return False, f"n={n}: only {passed}/{trials} seeds within bounds"
     n = 6
     tau_a = 1e-4
     for s in range(audits):
@@ -322,12 +323,12 @@ def check_gram_bounds(ns=(8, 16), seeds_count: int = 200, seed: int = 8,
     return True, f"sketch bounds held on >= {min_pass:.0%} of seeds; audits passed"
 
 
-def check_approx_quality(runs: int = 200, n_lo: int = 6, n_hi: int = 12,
-                         seed: int = 9, min_pass: float = 0.95):
+def check_approx_quality(trials: int = 200, n_lo: int = 6, n_hi: int = 12,
+                         seed: int = 9):
     """Sweep witness within 4 ln n of the brute optimum (or exactly zero)."""
     rng = np.random.default_rng([seed, 19])
     good = 0
-    for run in range(runs):
+    for run in range(trials):
         n = int(rng.integers(n_lo, n_hi + 1))
         G = random_test_graph(rng, n, w_max=int(rng.integers(1, 4)))
         res = approx_bipartiteness(G, GameParams(seed=seed * 6151 + run))
@@ -336,30 +337,28 @@ def check_approx_quality(runs: int = 200, n_lo: int = 6, n_hi: int = 12,
             good += res.beta == 0
         else:
             good += float(res.beta / opt) <= 4.0 * math.log(n)
-    ok = good >= min_pass * runs
-    return ok, f"{good}/{runs} sweeps within the quality target"
+    return good >= 0.95 * trials, f"{good}/{trials} sweeps within the quality target"
 
 
-def check_maxcut_bipartite(runs: int = 50, n_max: int = 30, seed: int = 10):
+def check_maxcut_bipartite(trials: int = 50, n_max: int = 30, seed: int = 10):
     """Bipartite inputs are cut perfectly, every run."""
     rng = np.random.default_rng([seed, 20])
-    for run in range(runs):
+    for run in range(trials):
         n = int(rng.integers(4, n_max + 1))
         G, _ = planted_bipartite(n, p_cross=float(rng.uniform(0.2, 0.6)),
                                  p_noise=0.0, seed=seed * 3571 + run)
         result = recursive_bipart(G, GameParams(seed=seed * 3571 + run))
         if result.value != 1:
             return False, f"bipartite run cut {result.value} < 1 (n={n})"
-    return True, f"{runs} bipartite graphs cut exactly in full"
+    return True, f"{trials} bipartite graphs cut exactly in full"
 
 
-def check_maxcut_bound(runs: int = 40, n_max: int = 16, seed: int = 11,
-                       min_pass: float = 0.9):
+def check_maxcut_bound(trials: int = 40, n_max: int = 16, seed: int = 11):
     """Near-bipartite inputs: value >= 1 - 10 ln n * ln(3/eta) * eta."""
     rng = np.random.default_rng([seed, 21])
     good = 0
     counted = 0
-    while counted < runs:
+    while counted < trials:
         n = int(rng.integers(6, n_max + 1))
         G, _ = planted_bipartite(n, p_cross=float(rng.uniform(0.3, 0.7)),
                                  p_noise=float(rng.uniform(0.05, 0.3)),
@@ -373,30 +372,29 @@ def check_maxcut_bound(runs: int = 40, n_max: int = 16, seed: int = 11,
         bound = 1.0 - 10.0 * math.log(n) * math.log(3.0 / float(eta)) * float(eta)
         if float(result.value) >= bound:
             good += 1
-    ok = good >= min_pass * counted
-    return ok, f"{good}/{counted} noisy runs met the uncut bound"
+    return good >= 0.9 * counted, f"{good}/{counted} noisy runs met the uncut bound"
 
 
-def check_rounding_acceptance(n: int = 64, samples: int = 10_000, seed: int = 12):
+def check_rounding_acceptance(n: int = 64, trials: int = 10_000, seed: int = 12):
     """Gaussian mass test rejects at most e^{-1/16} + 0.03 of samples."""
     rng = np.random.default_rng([seed, 22])
     vectors = np.eye(n) / math.sqrt(n)
     rejected = 0
-    for _ in range(samples):
+    for _ in range(trials):
         g = rng.standard_normal(n)
         if float(((vectors @ g) ** 2).sum()) < 0.25:
             rejected += 1
-    rate = rejected / samples
+    rate = rejected / trials
     bound = math.exp(-1.0 / 16.0) + 0.03
     return rate <= bound, f"rejection rate {rate:.4f} <= {bound:.4f}"
 
 
-def check_flow_decomposition(runs: int = 60, seed: int = 13):
+def check_flow_decomposition(trials: int = 60, seed: int = 13):
     """Path decomposition invariants on saturating selection networks."""
     rng = np.random.default_rng([seed, 23])
     seen = 0
     attempts = 0
-    while seen < runs and attempts < runs * 40:
+    while seen < trials and attempts < trials * 40:
         attempts += 1
         n = int(rng.integers(2, 8))
         G = random_test_graph(rng, n, w_max=2)
@@ -448,27 +446,27 @@ SMALLEST_N = {"claim-equality": 2, "thm-linked": 2, "cert-sound": 3,
               "maxcut-bipartite": 4, "maxcut-bound": 6}
 
 QUICK_OVERRIDES = {
-    "claim-equality": dict(graphs=40, vectors=5, n_max=5),
-    "thm-linked": dict(n_small_max=4, random_instances=4, ks=(1, 2, 3)),
-    "lemma-cut": dict(count=25),
-    "witness-exact": dict(runs=6),
-    "regret": dict(runs=4),
-    "cert-sound": dict(runs=8, n_max=6),
-    "demand-degree": dict(runs=5),
-    "gram-bounds": dict(ns=(8,), seeds_count=25, audits=5),
-    "approx-quality": dict(runs=15, n_lo=4, n_hi=7),
-    "maxcut-bipartite": dict(runs=5, n_max=12),
-    "maxcut-bound": dict(runs=5, n_max=10),
-    "rounding-accept": dict(n=16, samples=2000),
-    "flow-decomp": dict(runs=15),
+    "claim-equality": dict(trials=40, vectors=5, n_max=5),
+    "thm-linked": dict(n_small_max=4, trials=4, ks=(1, 2, 3)),
+    "lemma-cut": dict(trials=25),
+    "witness-exact": dict(trials=6),
+    "regret": dict(trials=4),
+    "cert-sound": dict(trials=8, n_max=6),
+    "demand-degree": dict(trials=5),
+    "gram-bounds": dict(ns=(8,), trials=25, audits=5),
+    "approx-quality": dict(trials=15, n_lo=4, n_hi=7),
+    "maxcut-bipartite": dict(trials=5, n_max=12),
+    "maxcut-bound": dict(trials=5, n_max=10),
+    "rounding-accept": dict(n=16, trials=2000),
+    "flow-decomp": dict(trials=15),
 }
 
 
 def run_checks(names=None, quick: bool = False, overrides: dict | None = None):
     """Run the selected checks; yields (name, ok, detail) in registry order.
 
-    Override keys that a check does not accept are silently dropped, so one
-    flag set can drive the whole registry.
+    Each check gets the override keys it takes, so one set can drive the
+    whole registry (the command line rejects a key a named check lacks).
     """
     import inspect
 
@@ -480,7 +478,6 @@ def run_checks(names=None, quick: bool = False, overrides: dict | None = None):
         accepted = set(inspect.signature(fn).parameters)
         kwargs = dict(QUICK_OVERRIDES.get(name, {})) if quick else {}
         if overrides:
-            kwargs.update({k: v for k, v in overrides.items()
-                           if v is not None and k in accepted})
+            kwargs.update({k: v for k, v in overrides.items() if k in accepted})
         ok, detail = fn(**kwargs)
         yield name, ok, detail

@@ -41,8 +41,7 @@ def _line(report, idx: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_claim_equality(accept_report):
     t0 = time.perf_counter()
-    ok, detail = check_claim_equality(graphs=500, vectors=20, n_max=8,
-                                      w_max=5, b_max=5, seed=1)
+    ok, detail = check_claim_equality(trials=500, vectors=20, n_max=8, seed=1)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0
     _line(accept_report, 1, "claim-equality", ok, f"{detail} in {elapsed:.2f}s")
@@ -51,7 +50,7 @@ def test_criterion_01_claim_equality(accept_report):
 
 def test_criterion_02_well_linked_iff(accept_report):
     t0 = time.perf_counter()
-    ok, detail = check_well_linked_iff(n_small_max=5, random_instances=100,
+    ok, detail = check_well_linked_iff(n_small_max=5, trials=100,
                                        ks=(1, 2, 3, 4), seed=2)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 600.0
@@ -60,7 +59,7 @@ def test_criterion_02_well_linked_iff(accept_report):
 
 
 def test_criterion_03_consistent_cuts(accept_report):
-    ok, detail = check_consistent_cuts(count=200, seed=3)
+    ok, detail = check_consistent_cuts(trials=200, seed=3)
     _line(accept_report, 3, "lemma-cut", ok, detail)
     assert ok, detail
 
@@ -68,14 +67,14 @@ def test_criterion_03_consistent_cuts(accept_report):
 def test_criterion_04_witness_exactness(accept_report):
     # The game itself refuses to emit a witness that fails the exact check;
     # this samples runs end to end on top of that hard guarantee.
-    ok, detail = check_witness_exact(runs=40, seed=4)
+    ok, detail = check_witness_exact(trials=40, seed=4)
     _line(accept_report, 4, "witness-exact", ok,
           detail + " (plus a hard in-solver check on every run)")
     assert ok, detail
 
 
 def test_criterion_05_regret(accept_report):
-    ok, detail = check_regret(runs=25, seed=5)
+    ok, detail = check_regret(trials=25, seed=5)
     _line(accept_report, 5, "regret", ok, detail)
     assert ok, detail
 
@@ -123,15 +122,14 @@ def test_certificate_soundness_corrected_factor_two(accept_report):
 
 def test_criterion_07_demand_degree_law(accept_report):
     # play_round additionally hard-asserts the degree law on every match.
-    ok, detail = check_demand_degree(runs=30, seed=7)
+    ok, detail = check_demand_degree(trials=30, seed=7)
     _line(accept_report, 7, "demand-degree", ok, detail)
     assert ok, detail
 
 
 def test_criterion_08_gram_bounds(accept_report):
     t0 = time.perf_counter()
-    ok, detail = check_gram_bounds(ns=(8, 16), seeds_count=200, seed=8,
-                                   min_pass=0.95, audits=20)
+    ok, detail = check_gram_bounds(ns=(8, 16), trials=200, seed=8, audits=20)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
     _line(accept_report, 8, "gram-bounds", ok, f"{detail} in {elapsed:.1f}s")
@@ -139,20 +137,19 @@ def test_criterion_08_gram_bounds(accept_report):
 
 
 def test_criterion_09_approx_quality(accept_report):
-    ok, detail = check_approx_quality(runs=200, n_lo=6, n_hi=12, seed=9,
-                                      min_pass=0.95)
+    ok, detail = check_approx_quality(trials=200, n_lo=6, n_hi=12, seed=9)
     _line(accept_report, 9, "approx-quality", ok, detail)
     assert ok, detail
 
 
 def test_criterion_10a_maxcut_bipartite(accept_report):
-    ok, detail = check_maxcut_bipartite(runs=50, n_max=30, seed=10)
+    ok, detail = check_maxcut_bipartite(trials=50, n_max=30, seed=10)
     _line(accept_report, 10, "maxcut bipartite value 1", ok, detail)
     assert ok, detail
 
 
 def test_criterion_10b_maxcut_bound(accept_report):
-    ok, detail = check_maxcut_bound(runs=40, n_max=16, seed=11, min_pass=0.9)
+    ok, detail = check_maxcut_bound(trials=40, n_max=16, seed=11)
     # Part (c), the per-level accounting identity, is hard-asserted inside
     # recursive_bipart on every run, including all runs above.
     _line(accept_report, 10, "maxcut uncut bound", ok,
@@ -161,7 +158,7 @@ def test_criterion_10b_maxcut_bound(accept_report):
 
 
 def test_criterion_11_rounding_acceptance(accept_report):
-    ok, detail = check_rounding_acceptance(n=64, samples=10_000, seed=12)
+    ok, detail = check_rounding_acceptance(n=64, trials=10_000, seed=12)
     _line(accept_report, 11, "rounding-accept", ok, detail)
     assert ok, detail
 

@@ -271,6 +271,34 @@ def test_verify_empty_corpus_exit_code(args, trials, capsys):
     assert captured.err.splitlines() == [f"error: --trials must be at least 1, got {trials}"]
 
 
+@pytest.mark.parametrize("check,flag", [("rounding-accept", "--n"),
+                                        ("gram-bounds", "--n"), ("lemma-cut", "--k")])
+def test_verify_named_check_rejects_a_flag_it_cannot_take(check, flag, capsys):
+    assert main(["verify", "--quick", "--check", check, flag, "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: check {check} takes no {flag}"]
+
+
+@pytest.mark.parametrize("check", [["--check", "regret"], []])
+def test_verify_k_needs_a_graph(check, capsys):
+    assert main(["verify", "--quick", *check, "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --k needs --graph"]
+
+
+def test_verify_trials_sizes_rounding_accept(capsys):
+    assert main(["verify", "--quick", "--check", "rounding-accept", "--trials", "10"]) == 0
+    rate = capsys.readouterr().out.split("rejection rate ")[1].split()[0]
+    assert rate in {f"{i / 10:.4f}" for i in range(11)}
+
+
+def test_verify_registry_applies_each_flag_where_it_fits(capsys):
+    assert main(["verify", "--quick", "--n", "6", "--trials", "1"]) in (0, 4)
+    assert len(capsys.readouterr().out.splitlines()) == 13
+
+
 # Checks whose quick corpora run in milliseconds at one or two trials.
 FAST_CHECKS = ["claim-equality", "thm-linked", "lemma-cut", "witness-exact",
                "regret", "cert-sound", "demand-degree", "approx-quality",

@@ -279,6 +279,13 @@ def test_per_copy_congestion_bounded():
         seen += 1
 
 
+def test_degrees_are_counted_once():
+    # play_round's degree law and demand_matrix's cap read one count.
+    M = DemandMultigraph(3, {(0, 1): 2, (2, 2): 1})
+    assert M.degrees() == [2, 2, 2]
+    assert M.degrees() is M.degrees()
+
+
 def test_demand_union():
     a = DemandMultigraph(3, {(0, 1): 1}, {(0, 0): 1})
     b = DemandMultigraph(3, {(0, 1): 2, (2, 2): 1}, {(0, 0): 2})

@@ -1,0 +1,63 @@
+"""The check registry's contract and the quick run's pinned output."""
+
+from __future__ import annotations
+
+import inspect
+
+import pytest
+
+from bipratio.cli import main
+from bipratio.verify import CHECKS, QUICK_OVERRIDES, SMALLEST_N
+
+
+def _params(name: str) -> set[str]:
+    return set(inspect.signature(CHECKS[name]).parameters)
+
+
+def test_registry_contract():
+    for name in CHECKS:
+        assert {"trials", "seed"} <= _params(name), name
+    for name, overrides in QUICK_OVERRIDES.items():
+        assert set(overrides) <= _params(name), name
+    # --n reaches exactly the checks with a smallest drawable size.
+    assert set(SMALLEST_N) == {name for name in CHECKS if "n_max" in _params(name)}
+
+
+QUICK_DEFAULT = """\
+[PASS] claim-equality: 200 (graph, vector) pairs agreed exactly
+[PASS] thm-linked: 144 (graph, k) equivalences held
+[PASS] lemma-cut: 25 non-saturating networks reduced at equal value
+[PASS] witness-exact: 11 witnesses all exact
+[PASS] regret: 4 certificate runs satisfied the regret bound
+[PASS] cert-sound: 8 certificates sound (rerouting and spectral bounds)
+[PASS] demand-degree: 75 matched rounds obey the degree law and norm cap
+[PASS] gram-bounds: sketch bounds held on >= 95% of seeds; audits passed
+[PASS] approx-quality: 15/15 sweeps within the quality target
+[PASS] maxcut-bipartite: 5 bipartite graphs cut exactly in full
+[PASS] maxcut-bound: 5/5 noisy runs met the uncut bound
+[PASS] rounding-accept: rejection rate 0.0030 <= 0.9694
+[PASS] flow-decomp: 15 saturating decompositions respected all invariants
+"""
+
+QUICK_SEED_2 = """\
+[PASS] claim-equality: 200 (graph, vector) pairs agreed exactly
+[PASS] thm-linked: 144 (graph, k) equivalences held
+[PASS] lemma-cut: 25 non-saturating networks reduced at equal value
+[PASS] witness-exact: 9 witnesses all exact
+[PASS] regret: 4 certificate runs satisfied the regret bound
+[PASS] cert-sound: 8 certificates sound (rerouting and spectral bounds)
+[PASS] demand-degree: 64 matched rounds obey the degree law and norm cap
+[PASS] gram-bounds: sketch bounds held on >= 95% of seeds; audits passed
+[PASS] approx-quality: 15/15 sweeps within the quality target
+[PASS] maxcut-bipartite: 5 bipartite graphs cut exactly in full
+[PASS] maxcut-bound: 5/5 noisy runs met the uncut bound
+[PASS] rounding-accept: rejection rate 0.0035 <= 0.9694
+[PASS] flow-decomp: 15 saturating decompositions respected all invariants
+"""
+
+
+@pytest.mark.parametrize("seed_args,expected", [([], QUICK_DEFAULT),
+                                                (["--seed", "2"], QUICK_SEED_2)])
+def test_quick_run_is_pinned(seed_args, expected, capsys):
+    assert main(["verify", "--quick", *seed_args]) == 0
+    assert capsys.readouterr().out == expected
