@@ -22,7 +22,7 @@ from bipratio import (
     cut_matching_game,
 )
 from bipratio.generators import complete
-from bipratio.spectral import demand_matrix
+from bipratio.spectral import DELTA, demand_matrix
 
 k3 = complete(3)
 print("triangle, exhaustive ratio:", brute_beta(k3)[0])
@@ -43,7 +43,7 @@ inners = [r.inner for r in out.records]
 F_sum = sum((demand_matrix(r.demand, k3.b) for r in out.records),
             np.zeros((3, 3)))
 lam = float(np.linalg.eigvalsh(F_sum)[0])
-rhs = 0.5 * sum(inners) - math.log(3) / 0.125
+rhs = 0.5 * sum(inners) - math.log(3) / DELTA
 print(f"\nregret bound: lambda_min = {lam:.3f} >= "
       f"0.5 * sum(tr F X) - 8 ln n = {rhs:.3f}")
 assert lam >= rhs - 1e-6

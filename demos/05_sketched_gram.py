@@ -11,6 +11,7 @@ term, which is all the Gaussian rounding step consumes.
 import numpy as np
 
 from bipratio.spectral import (
+    DELTA,
     MmwuState,
     approx_gram_vectors,
     density_matrix,
@@ -25,17 +26,17 @@ B = rng.standard_normal((n, n))
 accumulated = B @ B.T
 accumulated *= 4.0 / float(np.linalg.eigvalsh(accumulated)[-1])
 b = rng.integers(1, 5, size=n)
-delta = 0.125
 
 # Exact reference quantities straight from the density matrix.
-X = density_matrix(MmwuState(n, delta, accumulated))
+X = density_matrix(MmwuState(accumulated))
 scale = 1.0 / np.sqrt(b.astype(float))
 Y = X * scale[:, None] * scale[None, :]
 exact_norms = Y.diagonal()
 
+# The sketch's accuracy is fixed inside; these are the tolerances checked.
 eps = 0.25
 tau = min(1.0 / (12.0 * n**1.5), 1e-9)
-V = approx_gram_vectors(accumulated, delta, b, eps, tau, rng)
+V = approx_gram_vectors(accumulated, b, rng)
 d = V.shape[1]
 approx_norms = (V**2).sum(axis=1)
 
@@ -52,7 +53,7 @@ print(f"pairwise-sum errors: max {err.max():.5f} vs "
       f"eps*value+tau bound {np.max(eps * pair_exact + tau):.5f}")
 
 # The Taylor truncation itself: error decays factorially past e^2 * ||A||.
-A = -delta * accumulated
+A = -DELTA * accumulated
 U = jl_sign_matrix(d, n, rng)
 W = sym_expm(A / 2.0) @ U.T
 for order in (2, 5, 10, 20, 40):

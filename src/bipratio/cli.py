@@ -38,6 +38,7 @@ from .graph import WeightedGraph, tripartition
 from .graphio import dumps_graph, load_graph
 from .maxcut import recursive_bipart
 from .oracle import brute_beta, brute_maxcut, brute_well_linked
+from .spectral import DELTA
 from .verify import CHECKS, SMALLEST_N, run_checks
 
 EXIT_INPUT = 2
@@ -102,8 +103,7 @@ def _report(args, graph: WeightedGraph, mode: str, params: dict, result: dict,
 def cmd_approx(args) -> int:
     seed = _seed_from(args)
     G = _load(args)
-    params = GameParams(seed=seed, rounds=args.rounds, max_attempts=args.t_proj,
-                        delta=args.delta)
+    params = GameParams(seed=seed, rounds=args.rounds, max_attempts=args.t_proj)
     t0 = time.perf_counter()
     res = approx_bipartiteness(G, params)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -151,7 +151,7 @@ def cmd_approx(args) -> int:
 
 
 def _params_json(params: GameParams) -> dict:
-    return {"delta": params.delta, "rounds": params.rounds,
+    return {"delta": DELTA, "rounds": params.rounds,
             "max_attempts": params.max_attempts, "restarts": RESTARTS}
 
 
@@ -190,7 +190,7 @@ def cmd_exact(args) -> int:
 def cmd_maxcut(args) -> int:
     seed = _seed_from(args)
     G = _load(args)
-    params = GameParams(seed=seed, delta=args.delta)
+    params = GameParams(seed=seed)
     t0 = time.perf_counter()
     res = recursive_bipart(G, params)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_solver=False):
+    def add_common(sp):
         sp.add_argument("--graph", required=True, help="edge-list file")
         sp.add_argument("--weights", help="optional vertex-weight file")
         sp.add_argument("--seed", type=int, default=None,
@@ -293,12 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="JSON report on stdout")
         sp.add_argument("--timings", action="store_true",
                         help="fill timings_ms (breaks byte determinism)")
-        if with_solver:
-            sp.add_argument("--delta", type=float, default=0.125,
-                            help="multiplicative-weights step size")
 
     sp = sub.add_parser("approx", help="ratio sweep (witness + certificate)")
-    add_common(sp, with_solver=True)
+    add_common(sp)
     sp.add_argument("-v", "--verbose", action="store_true",
                     help="one line per game of the sweep")
     sp.add_argument("--rounds", type=int, default=None, help="round cap per game")
@@ -314,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_exact)
 
     sp = sub.add_parser("maxcut", help="recursive bipartitioning max cut")
-    add_common(sp, with_solver=True)
+    add_common(sp)
     sp.add_argument("--exact", action="store_true",
                     help="cross-check against the brute-force optimum (n <= 20)")
     sp.set_defaults(func=cmd_maxcut)

@@ -73,15 +73,14 @@ class GameParams:
     The ratio guess 1/k is not among them: it is the game's own argument.
     Fields left as None are resolved per graph: T = max(16, ceil(9 ln^2 n))
     rounds and max_attempts = ceil(8 ln n) + 8 Gaussian samples per round.
-    A game plays at least one round, draws at least one sample per round,
-    and the step size must satisfy 4 * delta < 1.  The rounding retries
-    across one game are bounded by the module constant ``RESTARTS``.
+    A game plays at least one round and draws at least one sample per round.
+    The rounding retries across one game are bounded by the module constant
+    ``RESTARTS``, and the step size is ``spectral.DELTA``.
     """
 
     seed: int = 0
     rounds: int | None = None
     max_attempts: int | None = None
-    delta: float = 0.125
 
     def resolve(self, n: int) -> "GameParams":
         ln_n = math.log(max(n, 2))
@@ -93,8 +92,6 @@ class GameParams:
         if attempts < 1:
             raise ValueError("a round needs at least one Gaussian attempt, "
                              f"got max_attempts={attempts}")
-        if not (0.0 < self.delta and 4.0 * self.delta < 1.0):
-            raise ValueError(f"step size must satisfy 0 < 4*delta < 1, got {self.delta}")
         return replace(self, rounds=rounds, max_attempts=attempts)
 
 
@@ -200,14 +197,15 @@ def play_round(net: FlowNetwork, state: MmwuState, rng: np.random.Generator,
 
 
 def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None,
-                      rng: np.random.Generator | None = None) -> GameOutcome:
+                      seed_path: tuple[int, ...] | None = None) -> GameOutcome:
     """Play the full game at ratio guess 1/k, for a positive integer k.
 
     Every witness is re-checked exactly (beta * k < 1 as rationals).  A
     round that fails Gaussian rounding is retried with fresh samples at the
     same state, up to ``RESTARTS`` times across the game, after which
     GameFailed is raised.  Vertex weights are G's own; pass ``G.with_b(b)``
-    for others.
+    for others.  The Gaussian samples come from the stream seeded by
+    (*seed_path, 1, k), with seed_path (params.seed,) unless given.
     """
     params = (params or GameParams()).resolve(G.n)
     # One network per game: the middle edges never change, and every round
@@ -215,9 +213,9 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
     # Building it validates k.
     net = build_network(build_auxiliary_graph(G), range(G.n), (), k)
     k = net.k
-    if rng is None:
-        rng = np.random.default_rng([params.seed, 1, k])
-    state = MmwuState.initial(G.n, params.delta)
+    prefix = seed_path if seed_path is not None else (params.seed,)
+    rng = np.random.default_rng([*prefix, 1, k])
+    state = MmwuState.initial(G.n)
     records: list[RoundRecord] = []
     restarts_left = RESTARTS
     flow_solves = 0
@@ -301,8 +299,6 @@ def approx_bipartiteness(G: WeightedGraph, params: GameParams | None = None,
     because the last sweep level forces any witness below the smallest
     positive ratio.
     """
-    params = params or GameParams()
-    prefix = seed_path if seed_path is not None else (params.seed,)
     K = sweep_k_limit(G)
     best_x: SignVector | None = None
     best_beta: Ratio | None = None
@@ -311,8 +307,7 @@ def approx_bipartiteness(G: WeightedGraph, params: GameParams | None = None,
     flow_solves = 0
     for j in range(K + 1):
         k = 2**j
-        rng = np.random.default_rng([*prefix, 1, k])
-        outcome = cut_matching_game(G, k, params, rng=rng)
+        outcome = cut_matching_game(G, k, params, seed_path)
         flow_solves += outcome.flow_solves
         if isinstance(outcome, Witness):
             games.append(GameSummary(k, "witness", outcome.beta,

@@ -5,8 +5,8 @@ The cut player maintains a density matrix
     X_t = exp(-delta * sum_{s<t} F_s) / tr(exp(-delta * sum_{s<t} F_s)),
 
 where each F_s is the rescaled quadratic form of a demand graph,
-D_b^{-1/2} (D_M + A_M) D_b^{-1/2}.  The player needs Gram vectors of
-D_b^{-1/2} X_t D_b^{-1/2}, and gets them from one dense symmetric
+D_b^{-1/2} (D_M + A_M) D_b^{-1/2}, and delta = ``DELTA``.  The player needs
+Gram vectors of D_b^{-1/2} X_t D_b^{-1/2}, and gets them from one dense symmetric
 eigendecomposition Q diag(lam) Q^T of the accumulated matrix per state
 (cached on the state): with w = exp(-delta * lam), X_t = Q diag(w / sum w) Q^T,
 and D_b^{-1/2} Q diag(sqrt(w / sum w)) is already a Gram factor, so no second
@@ -31,6 +31,12 @@ import numpy as np
 
 from .errors import DegreeOverflowError, NumericalFailure, RoundFail
 from .flow import DemandMultigraph
+
+# Step size of the multiplicative-weights update.  Demand forms have norm at
+# most 4, so 4 * DELTA < 1; the round cap T = max(16, ceil(9 ln^2 n)) and the
+# regret bound lambda_min >= sum tr(F X) / 2 - ln n / DELTA assume this value.
+DELTA = 0.125
+SKETCH_EPS = 0.25  # relative accuracy of the sketched Gram vectors
 
 
 def _eigh(A: np.ndarray):
@@ -93,8 +99,6 @@ class MmwuState:
     matrix and its Gram factor share one solve per state.
     """
 
-    n: int
-    delta: float
     accumulated: np.ndarray
 
     @cached_property
@@ -103,18 +107,18 @@ class MmwuState:
 
     @cached_property
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """exp(-delta * lam), shifted so its largest entry is 1, and Q; kept
+        """exp(-DELTA * lam), shifted so its largest entry is 1, and Q; kept
         like ``eigh``.  Normalizing by the sum cancels the shift."""
         lam, Q = self.eigh
-        y = -self.delta * lam
+        y = -DELTA * lam
         return np.exp(y - y.max()), Q
 
     @staticmethod
-    def initial(n: int, delta: float) -> "MmwuState":
-        return MmwuState(n, delta, np.zeros((n, n)))
+    def initial(n: int) -> "MmwuState":
+        return MmwuState(np.zeros((n, n)))
 
     def advance(self, F: np.ndarray) -> "MmwuState":
-        return MmwuState(self.n, self.delta, self.accumulated + F)
+        return MmwuState(self.accumulated + F)
 
 
 def sym_expm(A: np.ndarray) -> np.ndarray:
@@ -178,25 +182,22 @@ def jl_sign_matrix(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return (2.0 * signs - 1.0) / math.sqrt(d)
 
 
-def approx_gram_vectors(accumulated: np.ndarray, delta: float, b, eps: float,
-                        tau: float, rng: np.random.Generator) -> np.ndarray:
+def approx_gram_vectors(accumulated: np.ndarray, b,
+                        rng: np.random.Generator) -> np.ndarray:
     """Sketched Gram vectors of the density matrix, without forming it.
 
     Pipeline: draw a d x n random sign sketch U, d = ceil(32 ln n / eps^2),
-    apply the truncated Taylor expansion of exp(A/2) with
-    A = -delta * accumulated to U.T, rescale rows by b^{-1/2} and normalize
-    by the sketched trace.  Returns the n x d array of rows; each norm and
-    each pairwise-sum norm matches the exact Gram vectors within
-    (1 +- eps) plus tau, with high probability.
+    apply the truncated Taylor expansion of exp(A/2), A = -DELTA * accumulated,
+    to U.T, rescale rows by b^{-1/2} and normalize by the sketched trace.
+    Returns the n x d array of rows; with high probability each norm and
+    pairwise-sum norm matches the exact Gram vectors within (1 +- eps) plus
+    tau, for eps = ``SKETCH_EPS`` and tau = min(1/(12 n^1.5), 1e-9).
     """
     n = accumulated.shape[0]
-    if not (0 < eps <= 0.25):
-        raise ValueError(f"eps must lie in (0, 1/4], got {eps}")
-    if not (0 < tau <= 1.0 / (12.0 * n**1.5)):
-        raise ValueError(f"tau must lie in (0, 1/(12 n^{{3/2}})], got {tau}")
+    tau = min(1.0 / (12.0 * n**1.5), 1e-9)
     b = np.asarray(b, dtype=float)
-    A = -delta * (accumulated + accumulated.T) / 2.0
-    dim = max(1, math.ceil(32.0 * math.log(max(n, 2)) / eps**2))
+    A = -DELTA * (accumulated + accumulated.T) / 2.0
+    dim = max(1, math.ceil(32.0 * math.log(max(n, 2)) / SKETCH_EPS**2))
     # Infinity norm bounds the spectral norm for symmetric matrices.
     norm_bound = max(1.0, float(np.abs(A).sum(axis=1).max()) if A.size else 1.0)
     order = math.ceil(max(math.e**2 * norm_bound, math.log(max(n, 2) / tau)))

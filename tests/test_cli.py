@@ -103,9 +103,11 @@ def test_json_schema_keys(k3_file, capsys):
 
 @pytest.mark.parametrize("command,flag,value", [
     ("approx", "--gram", "exact"), ("approx", "--eps", "0.25"),
-    ("maxcut", "--gram", "exact"), ("maxcut", "--eps", "0.25")])
+    ("maxcut", "--gram", "exact"), ("maxcut", "--eps", "0.25"),
+    ("approx", "--delta", "0.125"), ("maxcut", "--delta", "0.125")])
 def test_no_gram_route_flags(command, flag, value, k3_file, capsys):
-    # The cut player has a single Gram route, so there is nothing to choose.
+    # The cut player has a single Gram route and a fixed step size, so there
+    # is nothing to choose.
     with pytest.raises(SystemExit) as exc:
         main([command, "--graph", k3_file, flag, value])
     assert exc.value.code == 2
@@ -328,8 +330,6 @@ def cli_runs(draw):
         if command == "approx":
             args += ["--rounds", str(draw(st.integers(-1, 4)))]
             flags["--t-proj"] = st.integers(-1, 3)
-        if command in ("approx", "maxcut"):
-            flags["--delta"] = st.sampled_from([-0.125, 0.0, 1e-9, 0.125, 0.2499, 0.25])
         if command == "exact":
             args += ["--what", draw(st.sampled_from(["beta", "maxcut", "well-linked"]))]
             flags["--k"] = st.integers(-1, 3) | st.just(2**64)

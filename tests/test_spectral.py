@@ -70,17 +70,17 @@ def test_demand_matrix_norm_cap_random():
 
 
 def test_density_initial_is_uniform():
-    X = density_matrix(MmwuState.initial(4, 0.125))
+    X = density_matrix(MmwuState.initial(4))
     assert np.allclose(X, np.eye(4) / 4)
 
 
 def test_density_identity_accumulated():
-    X = density_matrix(MmwuState(3, 0.5, np.eye(3)))
+    X = density_matrix(MmwuState(4 * np.eye(3)))
     assert np.allclose(X, np.eye(3) / 3)
 
 
 def test_density_diagonal_closed_form():
-    X = density_matrix(MmwuState(2, 1.0, np.diag([0.0, 10.0])))
+    X = density_matrix(MmwuState(np.diag([0.0, 80.0])))
     z = 1.0 + math.exp(-10.0)
     assert X[0, 0] == pytest.approx(1.0 / z)
     assert X[1, 1] == pytest.approx(math.exp(-10.0) / z)
@@ -91,7 +91,7 @@ def test_density_trace_and_psd_random():
     for _ in range(20):
         n = int(rng.integers(2, 10))
         B = rng.standard_normal((n, n))
-        X = density_matrix(MmwuState(n, 0.125, B @ B.T))
+        X = density_matrix(MmwuState(B @ B.T))
         assert abs(X.trace() - 1.0) <= 1e-9
         assert lambda_min(X) >= -1e-10
 
@@ -122,7 +122,7 @@ def test_exact_gram_weighted_sum_is_one():
     for _ in range(10):
         n = int(rng.integers(2, 9))
         B = rng.standard_normal((n, n))
-        X = density_matrix(MmwuState(n, 0.125, B @ B.T))
+        X = density_matrix(MmwuState(B @ B.T))
         b = rng.integers(1, 5, size=n)
         g = exact_gram_vectors(X, b)
         total = float((b * (g**2).sum(axis=1)).sum())
@@ -173,8 +173,7 @@ def test_taylor_error_bound():
 def test_approx_gram_zero_accumulated_norms_exact():
     n, b = 8, np.ones(8, dtype=int)
     rng = np.random.default_rng(9)
-    tau = min(1.0 / (12.0 * n**1.5), 1e-9)
-    g = approx_gram_vectors(np.zeros((n, n)), 0.125, b, 0.25, tau, rng)
+    g = approx_gram_vectors(np.zeros((n, n)), b, rng)
     norms = (g**2).sum(axis=1)
     assert np.allclose(norms, 1.0 / n, atol=1e-12)
 
@@ -185,19 +184,9 @@ def test_approx_gram_weighted_sum_exactly_one():
     B = rng.standard_normal((n, n))
     acc = B @ B.T / n
     b = rng.integers(1, 5, size=n)
-    tau = min(1.0 / (12.0 * n**1.5), 1e-9)
-    g = approx_gram_vectors(acc, 0.125, b, 0.25, tau, rng)
+    g = approx_gram_vectors(acc, b, rng)
     total = float((b * (g**2).sum(axis=1)).sum())
     assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_approx_gram_parameter_validation():
-    with pytest.raises(ValueError):
-        approx_gram_vectors(np.zeros((4, 4)), 0.125, np.ones(4), 0.5, 1e-9,
-                            np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        approx_gram_vectors(np.zeros((4, 4)), 0.125, np.ones(4), 0.25, 0.5,
-                            np.random.default_rng(0))
 
 
 def test_gaussian_round_singleton_acceptance_rate():
@@ -242,7 +231,7 @@ def test_inner_product_identity():
     rng = np.random.default_rng(13)
     n = 6
     B = rng.standard_normal((n, n))
-    X = density_matrix(MmwuState(n, 0.125, B @ B.T))
+    X = density_matrix(MmwuState(B @ B.T))
     b = rng.integers(1, 4, size=n)
     g = exact_gram_vectors(X, b)
     pairs = {(0, 1): 2, (2, 2): 1, (3, 5): 1}
@@ -258,7 +247,7 @@ def test_inner_product_identity():
 def _random_state(rng, n):
     """A state with a random PSD accumulated matrix of random scale."""
     B = rng.standard_normal((n, n))
-    return MmwuState(n, 0.125, B @ B.T * float(rng.uniform(0.1, 20.0)))
+    return MmwuState(B @ B.T * float(rng.uniform(0.1, 20.0)))
 
 
 def test_state_gram_factor_matches_matrix_route():
@@ -291,6 +280,6 @@ def test_state_solves_once(monkeypatch):
     exact_gram_vectors(state, np.ones(6))
     assert np.array_equal(density_matrix(state), X)
     assert len(calls) == 1
-    assert state.weights is weights  # exp(-delta * lam) is formed once too
+    assert state.weights is weights  # exp(-DELTA * lam) is formed once too
     density_matrix(state.advance(np.eye(6)))
     assert len(calls) == 2

@@ -109,3 +109,27 @@ def test_every_record_field_is_read():
                         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
     unread = [f"{module}: {cls}.{name}" for module, cls, name in fields if name not in read]
     assert unread == []
+
+
+# Defaulted settable values of the package: function parameters with a
+# default plus record fields with a default.  A change that adds or removes
+# one updates this number and says why.
+SETTABLE_VALUES = 68
+
+
+def test_settable_values_are_counted():
+    names = []
+    for module, (_, tree) in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                              if default is not None]
+                owner = getattr(node, "name", "<lambda>")
+                names += [f"{module}: {owner}({arg.arg})" for arg in defaulted]
+            elif isinstance(node, ast.ClassDef) and _is_record(node):
+                names += [f"{module}: {node.name}.{stmt.target.id}" for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign) and stmt.value is not None]
+    assert len(names) == SETTABLE_VALUES, "\n".join(names)

@@ -1,9 +1,11 @@
-"""The check registry's contract and the quick run's pinned output."""
+"""The check registry's contract, the quick run's pinned output, and the
+gram-bounds audit count."""
 
 from __future__ import annotations
 
 import inspect
 
+import numpy as np
 import pytest
 
 from bipratio.cli import main
@@ -31,7 +33,7 @@ QUICK_DEFAULT = """\
 [PASS] regret: 4 certificate runs satisfied the regret bound
 [PASS] cert-sound: 8 certificates sound (rerouting and spectral bounds)
 [PASS] demand-degree: 75 matched rounds obey the degree law and norm cap
-[PASS] gram-bounds: sketch bounds held on >= 95% of seeds; audits passed
+[PASS] gram-bounds: sketch bounds held on 25/25 seeds at n=8; 5/5 audits ran and passed
 [PASS] approx-quality: 15/15 sweeps within the quality target
 [PASS] maxcut-bipartite: 5 bipartite graphs cut exactly in full
 [PASS] maxcut-bound: 5/5 noisy runs met the uncut bound
@@ -47,7 +49,7 @@ QUICK_SEED_2 = """\
 [PASS] regret: 4 certificate runs satisfied the regret bound
 [PASS] cert-sound: 8 certificates sound (rerouting and spectral bounds)
 [PASS] demand-degree: 64 matched rounds obey the degree law and norm cap
-[PASS] gram-bounds: sketch bounds held on >= 95% of seeds; audits passed
+[PASS] gram-bounds: sketch bounds held on 25/25 seeds at n=8; 5/5 audits ran and passed
 [PASS] approx-quality: 15/15 sweeps within the quality target
 [PASS] maxcut-bipartite: 5 bipartite graphs cut exactly in full
 [PASS] maxcut-bound: 5/5 noisy runs met the uncut bound
@@ -57,7 +59,19 @@ QUICK_SEED_2 = """\
 
 
 @pytest.mark.parametrize("seed_args,expected", [([], QUICK_DEFAULT),
-                                                (["--seed", "2"], QUICK_SEED_2)])
+                                                (["--seed", "2"], QUICK_SEED_2)],
+                         ids=["default-seed", "seed-2"])
 def test_quick_run_is_pinned(seed_args, expected, capsys):
     assert main(["verify", "--quick", *seed_args]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_gram_bounds_fail_when_no_audit_runs(monkeypatch):
+    # A zero sketch has trace 0, outside [0.75, 1.25] tr exp(A), so every
+    # audit is skipped; a run that audited nothing must not pass.
+    import bipratio.verify as verify
+
+    monkeypatch.setattr(verify, "jl_sign_matrix", lambda d, n, rng: np.zeros((d, n)))
+    ok, detail = verify.check_gram_bounds(ns=(8,), trials=5, seed=8, audits=3)
+    assert not ok
+    assert detail.startswith("no audit ran")
