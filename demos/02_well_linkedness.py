@@ -38,8 +38,8 @@ for k in (2, 3, 4):
 net = build_network(aux, L={0}, R=set(), k=2)
 flow = max_flow(net)
 print("\nselect L={0} at k=2: flow", flow.value, "of", net.b_A,
-      "-> saturating:", is_saturating(net, flow))
-paths = decompose_flow(net, flow)
+      "-> saturating:", is_saturating(flow))
+paths = decompose_flow(flow)
 for p in paths:
     print("  path through doubled nodes", p.nodes, "x", p.units)
 M = demand_graph(paths, net)
@@ -51,7 +51,7 @@ aux4 = build_auxiliary_graph(c4)
 net4 = build_network(aux4, L={0}, R=set(), k=1)
 flow4 = max_flow(net4)
 print("\n4-cycle, select L={0} at k=1: flow", flow4.value, "(not saturating)")
-x = consistent_min_cut(net4, flow4)
+x = consistent_min_cut(flow4)
 print("  consistent residual cut gives x =", x,
       "with ratio", evaluate_beta(c4, x))
 assert evaluate_beta(c4, x) < Fraction(1, 1)

@@ -61,9 +61,13 @@ def fmt_ratio(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator} ({float(fr):.9g})"
 
 
-def ratio_json(fr: Fraction) -> dict:
-    return {"num": fr.numerator, "den": fr.denominator,
-            "decimal": f"{float(fr):.9g}"}
+def ratio_json(fr: Fraction | None) -> dict | None:
+    return None if fr is None else {"num": fr.numerator, "den": fr.denominator,
+                                    "decimal": f"{float(fr):.9g}"}
+
+
+def fmt_signs(x) -> str:
+    return "".join("+" if v > 0 else "-" if v < 0 else "0" for v in x)
 
 
 def _seed_from(args) -> int:
@@ -114,10 +118,9 @@ def cmd_approx(args) -> int:
         "L": _sets_1based(L),
         "R": _sets_1based(R),
         "beta": ratio_json(res.beta),
-        "r_cert": ratio_json(res.r_cert) if res.r_cert is not None else None,
+        "r_cert": ratio_json(res.r_cert),
         "certificate": None,
-        "games": [{"k": g.k, "outcome": g.outcome,
-                   "beta": ratio_json(g.beta) if g.beta is not None else None,
+        "games": [{"k": g.k, "outcome": g.outcome, "beta": ratio_json(g.beta),
                    "rounds": g.rounds, "flow_solves": g.flow_solves}
                   for g in res.games],
         "rounds_total": rounds_total,
@@ -129,11 +132,11 @@ def cmd_approx(args) -> int:
             "k": cert.k,
             "rounds": cert.rounds,
             "lambda_min": f"{cert.lambda_min:.9g}",
-            "beta_H": ratio_json(cert.beta_H) if cert.beta_H is not None else None,
+            "beta_H": ratio_json(cert.beta_H),
             "ratio_lower_bound": f"{cert.ratio_lower_bound():.9g}",
         }
     lines = [
-        f"witness x = {''.join('+' if v > 0 else '-' if v < 0 else '0' for v in res.x_best)}",
+        f"witness x = {fmt_signs(res.x_best)}",
         f"L = {_sets_1based(L)}  R = {_sets_1based(R)}  Z = {_sets_1based(Z)}",
         f"beta = {fmt_ratio(res.beta)}",
         f"r_cert = {fmt_ratio(res.r_cert) if res.r_cert is not None else 'none'}",
@@ -165,7 +168,7 @@ def cmd_exact(args) -> int:
         result = {"beta": ratio_json(beta), "x": list(x),
                   "L": _sets_1based(L), "R": _sets_1based(R)}
         lines = [f"beta = {fmt_ratio(beta)}",
-                 f"minimizer x = {''.join('+' if v > 0 else '-' if v < 0 else '0' for v in x)}",
+                 f"minimizer x = {fmt_signs(x)}",
                  f"L = {_sets_1based(L)}  R = {_sets_1based(R)}  Z = {_sets_1based(Z)}"]
     elif args.what == "maxcut":
         value, S = brute_maxcut(G)

@@ -132,9 +132,9 @@ def build_network(aux: AuxiliaryGraph, L: Iterable[int], R: Iterable[int], k: in
 
 @dataclass
 class FlowAssignment:
-    """An integral feasible flow, read out of the solved network residuals;
-    it is valid until the network is re-selected.  ``source_side`` holds the
-    nodes reachable from the source in the final residual network."""
+    """An integral feasible flow of ``network``, read out of its residuals and
+    valid until it is re-selected; readers of the flow take the network from
+    here.  ``source_side``: the nodes the final residual search reached."""
 
     network: FlowNetwork
     value: int
@@ -265,12 +265,12 @@ def cut_capacity(net: FlowNetwork, X: Iterable[int]) -> int:
                if cap0[a] > 0 and head[a] not in X)
 
 
-def is_saturating(net: FlowNetwork, flow: FlowAssignment) -> bool:
-    """True when the flow meets the full source capacity b(A)."""
-    return flow.value == net.b_A
+def is_saturating(flow: FlowAssignment) -> bool:
+    """True when the flow meets its network's full source capacity b(A)."""
+    return flow.value == flow.network.b_A
 
 
-def consistent_min_cut(net: FlowNetwork, flow: FlowAssignment) -> SignVector:
+def consistent_min_cut(flow: FlowAssignment) -> SignVector:
     """Sign vector read from the consistency-reduced residual minimum cut.
 
     Requires a maximum flow that does not saturate.  Takes the source-side
@@ -280,9 +280,9 @@ def consistent_min_cut(net: FlowNetwork, flow: FlowAssignment) -> SignVector:
     the resulting vector has ratio strictly below 1/k; both facts are
     enforced here.
     """
-    if is_saturating(net, flow):
+    if is_saturating(flow):
         raise SaturatingFlowError("flow saturates; no cut below b(A) exists")
-    X = flow.source_side
+    net, X = flow.network, flow.source_side
     n = net.n_base
     x = [0] * n
     for i in range(n):
@@ -378,7 +378,7 @@ def _cancel_cycles(net: FlowNetwork, flows: list[int], out: list[list[int]]) -> 
             flows[a] -= c
 
 
-def decompose_flow(net: FlowNetwork, flow: FlowAssignment) -> list[FlowPath]:
+def decompose_flow(flow: FlowAssignment) -> list[FlowPath]:
     """Split a feasible flow into source-to-sink paths with multiplicities.
 
     Cycles are cancelled first; paths are then peeled greedily, always
@@ -389,6 +389,7 @@ def decompose_flow(net: FlowNetwork, flow: FlowAssignment) -> list[FlowPath]:
     keeps the prefix up to the first arc the peel emptied.  Multiplicities
     sum to the flow value, over at most as many paths as flow-carrying arcs.
     """
+    net = flow.network
     head, arc_tag, sink = net.head, net.arc_tag, net.sink
     flows, out = _flow_graph(net)
     _cancel_cycles(net, flows, out)

@@ -106,15 +106,21 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class Witness:
-    """A sign vector with beta * k < 1; the game re-checks this exactly
-    (rational comparison) before returning one."""
+    """A sign vector with beta * k < 1, re-checked exactly as rationals, and
+    the records of the rounds matched before the selection it defeated."""
 
     x: SignVector
     beta: Ratio
     k: int
-    rounds_before: int
     records: tuple[RoundRecord, ...]
-    flow_solves: int
+
+    @property
+    def rounds(self) -> int:
+        return len(self.records)
+
+    @property
+    def flow_solves(self) -> int:
+        return self.rounds + 1
 
 
 @dataclass(frozen=True)
@@ -134,19 +140,20 @@ class Certificate:
     """
 
     k: int
-    rounds: int
     union: DemandMultigraph
     records: tuple[RoundRecord, ...]
     lambda_min: float
     beta_H: Ratio | None
-    flow_solves: int
+
+    @property
+    def rounds(self) -> int:
+        return len(self.records)
+
+    flow_solves = rounds  # one solve per matched round
 
     def ratio_lower_bound(self) -> float:
         base = float(self.beta_H) if self.beta_H is not None else max(self.lambda_min, 0.0) / 2.0
         return base / (2 * self.k * self.rounds)
-
-
-GameOutcome = Witness | Certificate
 
 
 @dataclass(frozen=True)
@@ -154,25 +161,17 @@ class CutFound:
     x: SignVector
 
 
-@dataclass(frozen=True)
-class Matched:
-    side: frozenset[int]
-    demand: DemandMultigraph
-    inner: float
-    state: MmwuState
-
-
 def play_round(net: FlowNetwork, state: MmwuState, rng: np.random.Generator,
-               max_attempts: int) -> CutFound | Matched:
+               max_attempts: int) -> CutFound | tuple[RoundRecord, MmwuState]:
     """Run one round: project, select, solve the flow, answer.
 
     ``net`` is the game's selection network at its k; the round re-selects
     it for its own (L, empty).
 
     Returns CutFound with a witness sign vector when the selection is not
-    well-linked at 1/k, otherwise Matched with the demand graph, tr(F X)
-    and the state advanced by F.  Raises RoundFail when Gaussian rounding
-    exceeds its attempt budget.
+    well-linked at 1/k, otherwise the round's record (side, demand graph,
+    tr(F X)) and the state advanced by F.  Raises RoundFail when Gaussian
+    rounding exceeds its attempt budget.
     """
     b = net.aux.base.b
     # Both read the state's one cached eigendecomposition.
@@ -181,10 +180,9 @@ def play_round(net: FlowNetwork, state: MmwuState, rng: np.random.Generator,
     rounded = gaussian_round(V, b, rng, max_attempts)
     net.select(rounded.L, frozenset())
     flow = max_flow(net)
-    if not is_saturating(net, flow):
-        return CutFound(consistent_min_cut(net, flow))
-    paths = decompose_flow(net, flow)
-    M = demand_graph(paths, net)
+    if not is_saturating(flow):
+        return CutFound(consistent_min_cut(flow))
+    M = demand_graph(decompose_flow(flow), net)
     degs = M.degrees()
     for i, bi in enumerate(b):
         want = 2 * bi if i in rounded.L else 0
@@ -192,12 +190,11 @@ def play_round(net: FlowNetwork, state: MmwuState, rng: np.random.Generator,
             raise AssertionError(
                 f"saturating round violates the demand degree law at vertex {i}")
     F = demand_matrix(M, b)
-    inner = float((F * X).sum())
-    return Matched(rounded.L, M, inner, state.advance(F))
+    return RoundRecord(rounded.L, M, float((F * X).sum())), state.advance(F)
 
 
 def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None,
-                      seed_path: tuple[int, ...] | None = None) -> GameOutcome:
+                      seed_path: tuple[int, ...] | None = None) -> Witness | Certificate:
     """Play the full game at ratio guess 1/k, for a positive integer k.
 
     Every witness is re-checked exactly (beta * k < 1 as rationals).  A
@@ -218,31 +215,25 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
     state = MmwuState.initial(G.n)
     records: list[RoundRecord] = []
     restarts_left = RESTARTS
-    flow_solves = 0
-    t = 1
-    while t <= params.rounds:
+    while len(records) < params.rounds:
         try:
             outcome = play_round(net, state, rng, params.max_attempts)
         except RoundFail:
             restarts_left -= 1
             if restarts_left < 0:
-                raise GameFailed(
-                    f"round {t} failed Gaussian rounding beyond the restart budget")
+                raise GameFailed(f"round {len(records) + 1} failed Gaussian "
+                                 "rounding beyond the restart budget")
             continue
-        flow_solves += 1
         if isinstance(outcome, CutFound):
             beta = evaluate_beta(G, outcome.x)
             if not beta * k < 1:
                 raise AssertionError("witness does not beat the ratio guess")
-            return Witness(outcome.x, beta, k, t - 1, tuple(records), flow_solves)
-        records.append(RoundRecord(outcome.side, outcome.demand, outcome.inner))
-        state = outcome.state
-        t += 1
+            return Witness(outcome.x, beta, k, tuple(records))
+        record, state = outcome
+        records.append(record)
     union = DemandMultigraph.union([r.demand for r in records], G.n)
-    lam = lambda_min(state.accumulated)
     beta_H = brute_beta(union, G.b)[0] if G.n <= BRUTE_CERT_LIMIT else None
-    return Certificate(k, len(records), union, tuple(records), lam, beta_H,
-                       flow_solves)
+    return Certificate(k, union, tuple(records), lambda_min(state.accumulated), beta_H)
 
 
 @dataclass(frozen=True)
@@ -260,10 +251,16 @@ class SweepResult:
 
     x_best: SignVector
     beta: Ratio
-    r_cert: Ratio | None
     certificate: Certificate | None
     games: tuple[GameSummary, ...]
-    flow_solves: int
+
+    @property
+    def r_cert(self) -> Ratio | None:
+        return Fraction(1, self.certificate.k) if self.certificate is not None else None
+
+    @property
+    def flow_solves(self) -> int:
+        return sum(g.flow_solves for g in self.games)
 
 
 def sweep_k_limit(G: WeightedGraph) -> int:
@@ -299,29 +296,24 @@ def approx_bipartiteness(G: WeightedGraph, params: GameParams | None = None,
     because the last sweep level forces any witness below the smallest
     positive ratio.
     """
-    K = sweep_k_limit(G)
     best_x: SignVector | None = None
     best_beta: Ratio | None = None
     cert: Certificate | None = None
     games: list[GameSummary] = []
-    flow_solves = 0
-    for j in range(K + 1):
+    for j in range(sweep_k_limit(G) + 1):
         k = 2**j
         outcome = cut_matching_game(G, k, params, seed_path)
-        flow_solves += outcome.flow_solves
-        if isinstance(outcome, Witness):
-            games.append(GameSummary(k, "witness", outcome.beta,
-                                     outcome.rounds_before, outcome.flow_solves))
-            if best_beta is None or outcome.beta < best_beta:
-                best_x, best_beta = outcome.x, outcome.beta
-            if best_beta == 0:
-                break
-        else:
-            games.append(GameSummary(k, "certificate", None, outcome.rounds,
-                                     outcome.flow_solves))
+        witness = isinstance(outcome, Witness)
+        games.append(GameSummary(k, "witness" if witness else "certificate",
+                                 outcome.beta if witness else None,
+                                 outcome.rounds, outcome.flow_solves))
+        if not witness:
             cert = outcome
+            break
+        if best_beta is None or outcome.beta < best_beta:
+            best_x, best_beta = outcome.x, outcome.beta
+        if best_beta == 0:
             break
     if best_x is None:
         best_x, best_beta = _fallback_witness(G)
-    r_cert = Fraction(1, cert.k) if cert is not None else None
-    return SweepResult(best_x, best_beta, r_cert, cert, tuple(games), flow_solves)
+    return SweepResult(best_x, best_beta, cert, tuple(games))

@@ -154,6 +154,6 @@ def brute_well_linked(G: WeightedGraph, k: int = 1):
     for L, R in iter_symmetric_pairs(G.n):
         if min(L | R) in L:
             net.select(L, R)
-            if not is_saturating(net, max_flow(net)):
+            if not is_saturating(max_flow(net)):
                 return False, (L, R)
     return True, None

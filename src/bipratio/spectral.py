@@ -94,7 +94,7 @@ def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
 class MmwuState:
     """Accumulated loss matrix of the multiplicative-weights iteration.
 
-    ``eigh`` is the eigendecomposition (lam, Q) of the symmetrised
+    ``weights`` comes from the eigendecomposition (lam, Q) of the symmetrised
     accumulated matrix, computed on first use and then kept, so the density
     matrix and its Gram factor share one solve per state.
     """
@@ -102,14 +102,10 @@ class MmwuState:
     accumulated: np.ndarray
 
     @cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return _eigh(self.accumulated)
-
-    @cached_property
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """exp(-DELTA * lam), shifted so its largest entry is 1, and Q; kept
-        like ``eigh``.  Normalizing by the sum cancels the shift."""
-        lam, Q = self.eigh
+        """exp(-DELTA * lam), shifted so its largest entry is 1, and Q.
+        Normalizing by the sum cancels the shift."""
+        lam, Q = _eigh(self.accumulated)
         y = -DELTA * lam
         return np.exp(y - y.max()), Q
 
@@ -192,14 +188,17 @@ def approx_gram_vectors(accumulated: np.ndarray, b,
     Returns the n x d array of rows; with high probability each norm and
     pairwise-sum norm matches the exact Gram vectors within (1 +- eps) plus
     tau, for eps = ``SKETCH_EPS`` and tau = min(1/(12 n^1.5), 1e-9).
+    Raises ValueError on an empty matrix.
     """
     n = accumulated.shape[0]
+    if n == 0:
+        raise ValueError("sketched Gram vectors need at least one vertex")
     tau = min(1.0 / (12.0 * n**1.5), 1e-9)
     b = np.asarray(b, dtype=float)
     A = -DELTA * (accumulated + accumulated.T) / 2.0
     dim = max(1, math.ceil(32.0 * math.log(max(n, 2)) / SKETCH_EPS**2))
     # Infinity norm bounds the spectral norm for symmetric matrices.
-    norm_bound = max(1.0, float(np.abs(A).sum(axis=1).max()) if A.size else 1.0)
+    norm_bound = max(1.0, float(np.abs(A).sum(axis=1).max()))
     order = math.ceil(max(math.e**2 * norm_bound, math.log(max(n, 2) / tau)))
     Z = taylor_apply_exp_half(A, jl_sign_matrix(dim, n, rng), order)
     trace = float((Z * Z).sum())

@@ -362,3 +362,48 @@ def test_every_run_exits_with_a_documented_code(run):
     else:
         assert code in (2, 3, 4)
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+
+
+def _readme_synopsis() -> dict[str, str]:
+    """Each subcommand's lines of README's ``Command line`` block, with
+    indented continuation lines joined to the line they continue."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines: dict[str, str] = {}
+    command = None
+    for line in block.splitlines():
+        if line.startswith("bipratio "):
+            command = line.split()[1]
+            lines[command] = lines.get(command, "") + " " + line
+        elif line.strip() and command is not None:
+            lines[command] += " " + line
+    return lines
+
+
+def test_readme_synopsis_lists_every_option():
+    import argparse
+    import re
+
+    synopsis = _readme_synopsis()
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    missing = []
+    for command, parser in sub.choices.items():
+        words = set(re.findall(r"(?<![\w-])--?[\w-]+", synopsis.get(command, "")))
+        for action in parser._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction) \
+                    and not words & set(action.option_strings):
+                missing.append(f"{command} {action.option_strings[-1]}")
+    assert missing == []
+
+
+def test_verify_regret_reports_a_witnessing_graph(tmp_path, capsys):
+    # K5 at k = 1 ends in a witness: the extra game is named, not dropped.
+    path = str(tmp_path / "k5.txt")
+    dump_graph(complete(5), path)
+    assert main(["verify", "--check", "regret"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["verify", "--check", "regret", "--graph", path, "--k", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out == plain.rstrip("\n") + ("; the extra graph's game at k=1 ended in a "
+                                        "witness (beta 2/5), so it has no bound to check\n")

@@ -77,7 +77,7 @@ def test_bottleneck_path_network():
     net = build_network(aux, {0, 1}, set(), 1)
     flow = max_flow(net)
     assert flow.value == 2 and net.b_A == 4
-    assert not is_saturating(net, flow)
+    assert not is_saturating(flow)
     net2 = build_network(aux, {0, 1}, set(), 2)
     assert max_flow(net2).value == 4
 
@@ -87,7 +87,7 @@ def test_single_edge_singleton_not_saturating(single_edge):
     net = build_network(aux, {0}, set(), 1)
     flow = max_flow(net)
     assert flow.value == 0
-    assert not is_saturating(net, flow)
+    assert not is_saturating(flow)
 
 
 def test_k3_singleton_saturates_at_k2(k3):
@@ -95,7 +95,7 @@ def test_k3_singleton_saturates_at_k2(k3):
     net = build_network(aux, {0}, set(), 2)
     flow = max_flow(net)
     assert flow.value == 2
-    assert is_saturating(net, flow)
+    assert is_saturating(flow)
     assert flow.max_conservation_violation() == 0
 
 
@@ -103,7 +103,7 @@ def test_consistent_cut_single_edge(single_edge):
     aux = build_auxiliary_graph(single_edge)
     net = build_network(aux, {0}, set(), 1)
     flow = max_flow(net)
-    x = consistent_min_cut(net, flow)
+    x = consistent_min_cut(flow)
     assert x == (1, -1)
     assert evaluate_beta(single_edge, x) == 0
 
@@ -112,9 +112,9 @@ def test_consistent_cut_rejects_saturating(k3):
     aux = build_auxiliary_graph(k3)
     net = build_network(aux, {0}, set(), 3)
     flow = max_flow(net)
-    assert is_saturating(net, flow)
+    assert is_saturating(flow)
     with pytest.raises(SaturatingFlowError):
-        consistent_min_cut(net, flow)
+        consistent_min_cut(flow)
 
 
 def test_consistent_cut_keeps_min_cut_value():
@@ -128,9 +128,9 @@ def test_consistent_cut_keeps_min_cut_value():
         for L, R in iter_symmetric_pairs(n):
             net = build_network(aux, L, R, k)
             flow = max_flow(net)
-            if is_saturating(net, flow):
+            if is_saturating(flow):
                 continue
-            x = consistent_min_cut(net, flow)
+            x = consistent_min_cut(flow)
             reduced = {net.source}
             reduced.update(i for i in range(n) if x[i] == 1)
             reduced.update(n + i for i in range(n) if x[i] == -1)
@@ -149,10 +149,10 @@ def test_consistent_cut_always_audits_the_ratio(monkeypatch):
     G = WeightedGraph(2, ((0, 1, 1),), (1, 1))
     net = build_network(build_auxiliary_graph(G), {0}, set(), 1)
     flow = max_flow(net)
-    assert not is_saturating(net, flow)
+    assert not is_saturating(flow)
     monkeypatch.setattr(flow_mod, "evaluate_beta", lambda graph, x: Fraction(1))
     with pytest.raises(AssertionError):
-        consistent_min_cut(net, flow)
+        consistent_min_cut(flow)
 
 
 def test_consistent_cut_reuses_the_last_search(monkeypatch):
@@ -174,13 +174,13 @@ def test_consistent_cut_reuses_the_last_search(monkeypatch):
         calls.clear()
         flow = max_flow(net)
         assert calls
-        if is_saturating(net, flow):
+        if is_saturating(flow):
             continue
         level, _ = real_bfs(net)
         assert net.sink not in flow.source_side
         assert flow.source_side == {v for v, lv in enumerate(level) if lv >= 0}
         calls.clear()
-        consistent_min_cut(net, flow)
+        consistent_min_cut(flow)
         assert calls == []
         seen += 1
 
@@ -189,14 +189,14 @@ def test_decompose_zero_flow(single_edge):
     aux = build_auxiliary_graph(single_edge)
     net = build_network(aux, {0}, set(), 1)
     flow = max_flow(net)
-    assert decompose_flow(net, flow) == []
+    assert decompose_flow(flow) == []
 
 
 def test_decompose_k3_saturating(k3):
     aux = build_auxiliary_graph(k3)
     net = build_network(aux, {0}, set(), 2)
     flow = max_flow(net)
-    paths = decompose_flow(net, flow)
+    paths = decompose_flow(flow)
     assert sum(p.units for p in paths) == 2
     for p in paths:
         assert p.nodes[0] == 0  # enters at the plus copy of 0
@@ -211,7 +211,7 @@ def test_decompose_two_parallel_unit_paths():
     net = build_network(build_auxiliary_graph(G), {0, 1}, set(), 1)
     flow = max_flow(net)
     assert flow.value == 2
-    paths = decompose_flow(net, flow)
+    paths = decompose_flow(flow)
     assert sorted(paths) == [FlowPath((0, 3), 1, ((0, 0),)),
                              FlowPath((1, 2), 1, ((0, 1),))]
 
@@ -220,7 +220,7 @@ def test_demand_graph_k3_self_loop(k3):
     aux = build_auxiliary_graph(k3)
     net = build_network(aux, {0}, set(), 2)
     flow = max_flow(net)
-    M = demand_graph(decompose_flow(net, flow), net)
+    M = demand_graph(decompose_flow(flow), net)
     assert M.pairs == {(0, 0): 2}
     degs = M.degrees()
     assert degs[0] == 4 == 2 * k3.b[0]
@@ -232,7 +232,7 @@ def test_demand_graph_empty_and_entry_exit(single_edge):
     net = build_network(aux, {0}, set(), 1)
     flow = max_flow(net)
     assert demand_graph([], net).pairs == {}
-    paths = decompose_flow(net, flow)
+    paths = decompose_flow(flow)
     assert demand_graph(paths, net).pairs == {}
 
 
@@ -243,8 +243,8 @@ def test_demand_graph_cross_pair():
     aux = build_auxiliary_graph(G)
     net = build_network(aux, {0, 1}, set(), 1)
     flow = max_flow(net)
-    assert is_saturating(net, flow)
-    M = demand_graph(decompose_flow(net, flow), net)
+    assert is_saturating(flow)
+    M = demand_graph(decompose_flow(flow), net)
     assert M.pairs == {(0, 1): 2}
     assert M.degrees() == [2, 2]
 
@@ -270,9 +270,9 @@ def test_per_copy_congestion_bounded():
         L = frozenset(int(i) for i in rng.choice(n, size=size, replace=False))
         net = build_network(aux, L, frozenset(), k)
         flow = max_flow(net)
-        if not is_saturating(net, flow):
+        if not is_saturating(flow):
             continue
-        M = demand_graph(decompose_flow(net, flow), net)
+        M = demand_graph(decompose_flow(flow), net)
         for e, (_, _, w) in enumerate(G.edges):
             c0, c1 = M.copy_usage(e)
             assert c0 <= w * k and c1 <= w * k
@@ -402,8 +402,8 @@ def test_reselected_network_matches_fresh_builds():
             flow, fresh_flow = max_flow(shared), max_flow(fresh)
             assert flow.value == fresh_flow.value == _networkx_flow_value(G, aux, L, R, k)
             assert shared.b_A == fresh.b_A and shared.A == fresh.A and shared.B == fresh.B
-            paths = decompose_flow(shared, flow)
-            assert paths == decompose_flow(fresh, fresh_flow)
+            paths = decompose_flow(flow)
+            assert paths == decompose_flow(fresh_flow)
             assert sum(p.units for p in paths) == flow.value
             _check_paths_against_arc_flows(shared, flow, paths)
             M, M_fresh = demand_graph(paths, shared), demand_graph(paths, fresh)

@@ -316,7 +316,7 @@ def test_flow_round_matches_reference():
             flow, ref_flow = _solve_both(net, ref)
             if rng.random() < 0.5:
                 stats["circulations"] += _inject_circulation(rng, [net, ref])
-            paths = decompose_flow(net, flow)
+            paths = decompose_flow(flow)
             ref_paths = ref_decompose_flow(ref, ref_flow, stats)
             assert paths == ref_paths
             assert all(type(p) is FlowPath for p in paths)

@@ -221,6 +221,40 @@ def test_regret_inequality_on_certificates():
         assert lam >= 0.5 * sum(inners) - math.log(G.n) / DELTA - 1e-6
 
 
+def test_flow_solves_count_the_max_flow_calls(monkeypatch):
+    # One solve per matched round, plus the defeated selection of a witness;
+    # a round retried after a rounding failure solves nothing.
+    import bipratio.game as game
+    from bipratio.generators import gnp
+
+    solves, failures = [], []
+    real_flow, real_round = game.max_flow, game.gaussian_round
+
+    def counted_round(*args):
+        try:
+            return real_round(*args)
+        except RoundFail:
+            failures.append(1)
+            raise
+
+    monkeypatch.setattr(game, "max_flow", lambda net: solves.append(1) or real_flow(net))
+    monkeypatch.setattr(game, "gaussian_round", counted_round)
+    monkeypatch.setattr(game, "RESTARTS", 10**6)
+    G = gnp(12, 0.5, 3, seed=4)
+    params = GameParams(seed=3, max_attempts=1)
+    kinds = set()
+    for k in (1, 2, 64):
+        solves.clear()
+        out = cut_matching_game(G, k, params)
+        kinds.add(type(out))
+        assert out.flow_solves == len(solves)
+        assert out.rounds == len(out.records)
+    assert kinds == {Witness, Certificate} and failures
+    solves.clear()
+    res = approx_bipartiteness(G, params)
+    assert res.flow_solves == len(solves) == sum(g.flow_solves for g in res.games)
+
+
 def test_one_eigensolve_per_round(monkeypatch):
     # The density matrix and the Gram vectors share the state's solve, and a
     # round retried after a rounding failure reuses it too.
@@ -241,7 +275,7 @@ def test_one_eigensolve_per_round(monkeypatch):
         solves.clear()
         roundings.clear()
         out = cut_matching_game(G, k, params)
-        played = out.rounds if isinstance(out, Certificate) else out.rounds_before + 1
+        played = out.flow_solves  # one state per solved selection
         assert len(solves) == played
         assert len(roundings) >= played
     assert isinstance(out, Certificate) and len(roundings) > played

@@ -166,7 +166,7 @@ def test_maxcut_depth_guard_counts_top_level_vertices(monkeypatch):
     def first_edge_witness(G, params, seed_path):
         u, v, _ = G.edges[0]
         x = sign_vector(G.n, [u], [v])
-        return SweepResult(x, evaluate_beta(G, x), None, None, (), 0)
+        return SweepResult(x, evaluate_beta(G, x), None, ())
 
     monkeypatch.setattr(maxcut, "approx_bipartiteness", first_edge_witness)
     G = WeightedGraph(8, tuple((i, i + 1, 1) for i in range(7)))

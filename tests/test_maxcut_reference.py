@@ -115,14 +115,14 @@ def first_edge_witness(G, params, seed_path):
     """The witness {u} against {v} for the first edge: two vertices per level."""
     u, v, _ = G.edges[0]
     x = sign_vector(G.n, [u], [v])
-    return SweepResult(x, evaluate_beta(G, x), None, None, (), 0)
+    return SweepResult(x, evaluate_beta(G, x), None, ())
 
 
 def random_witness(G, params, seed_path):
     """A random nonzero sign vector, fixed by the call's graph and seed path."""
     rng = np.random.default_rng([*seed_path, G.n, G.m])
     x = random_sign_vector(rng, G.n)
-    return SweepResult(x, evaluate_beta(G, x), None, None, (), 0)
+    return SweepResult(x, evaluate_beta(G, x), None, ())
 
 
 # ---- corpus ----------------------------------------------------------------

@@ -169,7 +169,7 @@ def _reference_well_linked(G, k):
         R = frozenset(i for i, s in enumerate(x) if s == -1)
         if L or R:
             net = build_network(aux, L, R, k)
-            if not is_saturating(net, max_flow(net)):
+            if not is_saturating(max_flow(net)):
                 return False, (L, R)
     return True, None
 

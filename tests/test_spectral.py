@@ -283,3 +283,9 @@ def test_state_solves_once(monkeypatch):
     assert state.weights is weights  # exp(-DELTA * lam) is formed once too
     density_matrix(state.advance(np.eye(6)))
     assert len(calls) == 2
+
+
+def test_approx_gram_rejects_empty_matrix():
+    # n = 0 has no sketch dimension and no tau; the input is refused first.
+    with pytest.raises(ValueError, match="at least one vertex"):
+        approx_gram_vectors(np.zeros((0, 0)), [], np.random.default_rng(0))
