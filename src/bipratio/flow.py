@@ -197,19 +197,49 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
     Each phase's BFS stops at the first level with a residual sink arc (its
     copies keep their sink arcs alone) and the blocking flow walks the
     admissible lists in adjacency order, so the augmenting paths are those
-    of a search over every arc.  The solve mutates the residuals in place, so
-    a network is solved once per selection (``FlowNetwork.select`` restores
-    it), and audits itself: the residual source-side cut must equal the flow.
+    of a search over every arc.  A phase with the sink at level 3 (source ->
+    source-side copy -> middle arc -> sink-side copy -> sink, only ever the
+    first phase) is walked in straight-line code; deeper phases use a DFS.
+    The solve mutates the residuals in place, so a network is solved once
+    per selection (``FlowNetwork.select`` restores it), and audits itself:
+    the residual source-side cut must equal the flow.
     """
     if net.solved:
         raise RuntimeError("network already solved; select() a pair before solving again")
-    head, cap = net.head, net.cap
+    head, cap, sink_arc = net.head, net.cap, net.sink_arc
     s, t = net.source, net.sink
     total = 0
     while True:
         level, admissible = _bfs_levels(net)
         if level[t] < 0:
             break
+        if level[t] == 3:
+            # The DFS's paths, without its stack: each source-side copy
+            # pushes along its middle arcs in order until its source arc is
+            # saturated, skipping heads whose sink arc is empty (dead).
+            # Each middle arc is met once, so its residual is still positive.
+            for a0 in admissible[s]:
+                room = cap[a0]
+                for a1 in admissible[head[a0]]:
+                    a2 = sink_arc[head[a1]]
+                    c2 = cap[a2]
+                    if c2:
+                        c1 = cap[a1]
+                        aug = room if room < c1 else c1
+                        if c2 < aug:
+                            aug = c2
+                        cap[a1] = c1 - aug
+                        cap[a1 ^ 1] += aug
+                        cap[a2] = c2 - aug
+                        cap[a2 ^ 1] += aug
+                        room -= aug
+                        if not room:
+                            break
+                pushed = cap[a0] - room
+                cap[a0] = room
+                cap[a0 ^ 1] += pushed
+                total += pushed
+            continue
         it = [0] * net.n_nodes
         path: list[int] = []
         u = s
@@ -383,8 +413,9 @@ def decompose_flow(flow: FlowAssignment) -> list[FlowPath]:
 
     Cycles are cancelled first; paths are then peeled greedily, always
     leaving a node along its lowest-id out-arc that still carries flow, and
-    each peel subtracts the path bottleneck (in straight-line code for the
-    common three-arc path).  Flows only decrease, so a node keeps that arc
+    each peel subtracts the path bottleneck, first minimum first (in
+    straight-line code for the common three- and five-arc paths, whose inner
+    arcs are all middle arcs).  Flows only decrease, so a node keeps that arc
     until it empties, then a pointer skips the emptied ones; the next walk
     keeps the prefix up to the first arc the peel emptied.  Multiplicities
     sum to the flow value, over at most as many paths as flow-carrying arcs.
@@ -425,6 +456,22 @@ def decompose_flow(flow: FlowAssignment) -> list[FlowPath]:
                 units, cut = f2, 2
             flows[a0], flows[a1], flows[a2] = f0 - units, f1 - units, f2 - units
             nodes, middle = (head[a0], head[a1]), (arc_tag[a1],)
+        elif len(arcs) == 5:  # source -> entry -> two more copies -> exit -> sink
+            a0, a1, a2, a3, a4 = arcs
+            f0, f1, f2, f3, f4 = flows[a0], flows[a1], flows[a2], flows[a3], flows[a4]
+            units, cut = f0, 0
+            if f1 < units:
+                units, cut = f1, 1
+            if f2 < units:
+                units, cut = f2, 2
+            if f3 < units:
+                units, cut = f3, 3
+            if f4 < units:
+                units, cut = f4, 4
+            flows[a0], flows[a1], flows[a2], flows[a3], flows[a4] = (
+                f0 - units, f1 - units, f2 - units, f3 - units, f4 - units)
+            nodes = (head[a0], head[a1], head[a2], head[a3])
+            middle = (arc_tag[a1], arc_tag[a2], arc_tag[a3])
         else:
             carried = [flows[a] for a in arcs]
             units = min(carried)

@@ -46,6 +46,16 @@ def _eigh(A: np.ndarray):
         raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
 
 
+def _vertex_weights(b, n: int, dtype) -> np.ndarray:
+    """``b`` as an array (of ``dtype``; None keeps b's own) holding one
+    weight per vertex; ValueError otherwise, so a short ``b`` is never
+    broadcast over the rows."""
+    b = np.asarray(b, dtype=dtype)
+    if b.shape != (n,):
+        raise ValueError(f"need {n} vertex weights, got shape {b.shape}")
+    return b
+
+
 def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
     """Rescaled quadratic form of a demand graph.
 
@@ -55,11 +65,8 @@ def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
     deg_M(i) <= 2 b(i) the result has operator norm at most 4; the cap is
     enforced, the norm bound is a consequence.
     """
-    b = np.asarray(b)
-    if b.shape != (M.n,):
-        raise ValueError(f"need {M.n} vertex weights, got shape {b.shape}")
+    b_list = _vertex_weights(b, M.n, None).tolist()  # Python ints stay exact
     degs = M.degrees()
-    b_list = b.tolist()  # Python ints stay exact; floats only rescale below
     for i, bi in enumerate(b_list):
         if degs[i] > 2 * bi:
             raise DegreeOverflowError(
@@ -141,11 +148,13 @@ def exact_gram_vectors(X: np.ndarray | MmwuState, b) -> np.ndarray:
     Given a matrix X, factors it by its own eigendecomposition.  Given an
     MmwuState, X is that state's density matrix, and V is
     D_b^{-1/2} Q diag(sqrt(w / sum w)), read straight from the state's
-    cached eigendecomposition, with no further solve.
+    cached eigendecomposition, with no further solve.  Raises ValueError
+    unless b holds one weight per row of X.
     """
-    b = np.asarray(b, dtype=float)
-    scale = 1.0 / np.sqrt(b)
-    if isinstance(X, MmwuState):
+    is_state = isinstance(X, MmwuState)
+    n = X.accumulated.shape[0] if is_state else X.shape[0]
+    scale = 1.0 / np.sqrt(_vertex_weights(b, n, float))
+    if is_state:
         w, Q = X.weights
         return Q * np.sqrt(w / w.sum()) * scale[:, None]
     Y = X * scale[:, None] * scale[None, :]
@@ -188,13 +197,14 @@ def approx_gram_vectors(accumulated: np.ndarray, b,
     Returns the n x d array of rows; with high probability each norm and
     pairwise-sum norm matches the exact Gram vectors within (1 +- eps) plus
     tau, for eps = ``SKETCH_EPS`` and tau = min(1/(12 n^1.5), 1e-9).
-    Raises ValueError on an empty matrix.
+    Raises ValueError on an empty matrix or unless b holds one weight per
+    vertex.
     """
     n = accumulated.shape[0]
     if n == 0:
         raise ValueError("sketched Gram vectors need at least one vertex")
+    b = _vertex_weights(b, n, float)
     tau = min(1.0 / (12.0 * n**1.5), 1e-9)
-    b = np.asarray(b, dtype=float)
     A = -DELTA * (accumulated + accumulated.T) / 2.0
     dim = max(1, math.ceil(32.0 * math.log(max(n, 2)) / SKETCH_EPS**2))
     # Infinity norm bounds the spectral norm for symmetric matrices.
@@ -224,9 +234,10 @@ def gaussian_round(V: np.ndarray, b, rng: np.random.Generator,
     reaches 1/4 (the expectation is 1, and the mass falls below 1/2 with
     probability at most e^{-1/16}).  The side with the larger mass becomes
     L, ties keeping the positive side.  Raises RoundFail after
-    ``max_attempts`` rejections.
+    ``max_attempts`` rejections, and ValueError, before any draw, unless b
+    holds one weight per row of V.
     """
-    b = np.asarray(b, dtype=float)
+    b = _vertex_weights(b, V.shape[0], float)
     for attempt in range(1, max_attempts + 1):
         g = rng.standard_normal(V.shape[1])
         values = V @ g

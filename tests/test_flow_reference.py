@@ -4,12 +4,21 @@
 and ``demand_matrix`` were rewritten to do less interpreter work, with the
 promise that every residual, path, dict order and matrix bit stays the same:
 the game's random stream depends on all of them.  The reference below is the
-earlier, plainer code (a full-depth BFS with an arc scan per step, an indexed
-peel, numpy scalar accumulation), kept as it was apart from its names, its
-error types and a counter of cancelled cycles.
+earlier, plainer code (a full-depth BFS with an arc scan per step, one DFS
+for every phase, an indexed peel for every path length, numpy scalar
+accumulation), kept as it was apart from its names, its error types and its
+counters: cancelled cycles, the sink depths of each solve's phases, and the
+cut position of each five-arc peel.  The counters show that the seeded cases
+reach the straight-line paths of ``max_flow`` (a depth-3 first phase, alone
+or before deeper phases, beside first phases deeper than 3) and of
+``decompose_flow`` (five-arc peels cut at every position, with and without
+ties).  Besides random networks of up to 12 vertices, the round is replayed
+on every solve of a seeded sweep on a 40-vertex graph.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +26,7 @@ import pytest
 from bipratio import (
     DegreeOverflowError,
     DemandMultigraph,
+    GameParams,
     WeightedGraph,
     build_auxiliary_graph,
 )
@@ -29,6 +39,7 @@ from bipratio.flow import (
     demand_graph,
     max_flow,
 )
+from bipratio.generators import gnp
 from bipratio.spectral import demand_matrix
 from bipratio.verify import random_test_graph
 
@@ -51,16 +62,18 @@ def _ref_bfs_levels(net):
     return level
 
 
-def ref_max_flow(net):
+def ref_max_flow(net, stats=None):
     if net.solved:
         raise RuntimeError("network already solved; select() a pair before solving again")
     adj, head, cap = net.adj, net.head, net.cap
     s, t = net.source, net.sink
     total = 0
+    depths = []  # sink level of each phase that carries flow
     while True:
         level = _ref_bfs_levels(net)
         if level[t] < 0:
             break
+        depths.append(level[t])
         it = [0] * net.n_nodes
         path = []
         u = s
@@ -97,6 +110,10 @@ def ref_max_flow(net):
             u = head[a ^ 1]
             it[u] += 1
     net.solved = True
+    if stats is not None and depths:
+        stats["phase_shapes"][
+            "depth3_only" if depths == [3] else
+            "depth3_then_deeper" if depths[0] == 3 else "deeper_first"] += 1
     X = frozenset(v for v, lv in enumerate(level) if lv >= 0)
     if cut_capacity(net, X) != total:
         raise AssertionError("max-flow/min-cut audit failed")
@@ -197,6 +214,9 @@ def ref_decompose_flow(net, flow, stats=None):
             f = flows[arcs[idx]]
             if f < units:
                 units, cut = f, idx
+        if stats is not None and len(arcs) == 5:
+            tied = sum(flows[a] == units for a in arcs) > 1
+            stats["five_arc_cuts"][cut, tied] += 1
         for a in arcs:
             flows[a] -= units
         nodes = tuple([head[a] for a in arcs[:-1]])
@@ -293,8 +313,8 @@ def _inject_circulation(rng, nets):
     return False
 
 
-def _solve_both(net, ref):
-    flow, ref_flow = max_flow(net), ref_max_flow(ref)
+def _solve_both(net, ref, stats=None):
+    flow, ref_flow = max_flow(net), ref_max_flow(ref, stats)
     assert net.cap == ref.cap
     assert flow.value == ref_flow.value
     assert flow.source_side == ref_flow.source_side
@@ -303,7 +323,8 @@ def _solve_both(net, ref):
 
 def test_flow_round_matches_reference():
     rng = np.random.default_rng(90125)
-    stats = {"cycles": 0, "long_paths": 0, "circulations": 0}
+    stats = {"cycles": 0, "long_paths": 0, "circulations": 0,
+             "phase_shapes": Counter(), "five_arc_cuts": Counter()}
     for _ in range(60):
         G = _random_graph(rng)
         aux = build_auxiliary_graph(G)
@@ -313,7 +334,7 @@ def test_flow_round_matches_reference():
             L, R = _random_selection(rng, G.n)
             net.select(L, R)
             ref.select(L, R)
-            flow, ref_flow = _solve_both(net, ref)
+            flow, ref_flow = _solve_both(net, ref, stats)
             if rng.random() < 0.5:
                 stats["circulations"] += _inject_circulation(rng, [net, ref])
             paths = decompose_flow(flow)
@@ -329,6 +350,15 @@ def test_flow_round_matches_reference():
     # The cases reach the cycle cancelling and paths of five or more arcs.
     assert stats["circulations"] >= 20 and stats["cycles"] >= 20
     assert stats["long_paths"] >= 20
+    # Every shape of phase sequence the straight-line first phase meets, and
+    # five-arc peels cut at each position, alone and as the first of tied
+    # minima (the last arc cannot be a tied first minimum).
+    shapes = stats["phase_shapes"]
+    assert min(shapes[shape] for shape in
+               ("depth3_only", "depth3_then_deeper", "deeper_first")) >= 10
+    cuts = stats["five_arc_cuts"]
+    assert all(cuts[pos, False] for pos in range(5))
+    assert all(cuts[pos, True] for pos in range(4))
 
 
 def test_max_flow_matches_reference_on_selection_sweeps():
@@ -384,3 +414,48 @@ def test_demand_matrix_matches_reference_random():
     M = DemandMultigraph(2, {(0, 1): 3})
     with pytest.raises(DegreeOverflowError):
         demand_matrix(M, (1, 2))
+
+
+def _restore(net, cap, cap0, A, B, b_A):
+    net.cap[:], net.cap0[:] = cap, cap0
+    net.A, net.B, net.b_A, net.solved = A, B, b_A, False
+
+
+def test_flow_round_matches_reference_on_game_traffic(monkeypatch):
+    # The random cases above stop at n = 12.  Replay every solve of a seeded
+    # sweep on G(40, ~400), whose networks hold about 1,960 arcs.  The
+    # game re-selects one network per game, so the spy keeps a snapshot of
+    # everything a selection writes.
+    from bipratio import game
+
+    solves = []
+    real_max_flow = game.max_flow
+
+    def spy(net):
+        solves.append((net, list(net.cap), list(net.cap0), net.A, net.B, net.b_A))
+        return real_max_flow(net)
+
+    monkeypatch.setattr(game, "max_flow", spy)
+    G = gnp(40, 0.51, w_max=3, seed=7)
+    game.approx_bipartiteness(G, GameParams(seed=7))
+    monkeypatch.undo()
+    stats = {"cycles": 0, "phase_shapes": Counter(), "five_arc_cuts": Counter()}
+    for net, *snapshot in solves:
+        _restore(net, *snapshot)
+        flow = max_flow(net)
+        cap = list(net.cap)
+        paths = decompose_flow(flow)
+        M = demand_graph(paths, net)
+        _restore(net, *snapshot)
+        ref_flow = ref_max_flow(net, stats)
+        assert net.cap == cap
+        assert flow.value == ref_flow.value
+        assert flow.source_side == ref_flow.source_side
+        ref_paths = ref_decompose_flow(net, ref_flow, stats)
+        assert paths == ref_paths
+        ref_M = ref_demand_graph(ref_paths, net)
+        assert list(M.pairs.items()) == list(ref_M.pairs.items())
+        assert list(M.usage.items()) == list(ref_M.usage.items())
+    # Over a hundred solves, each a depth-3 first phase and deeper ones.
+    assert stats["phase_shapes"]["depth3_then_deeper"] >= 100
+    assert sum(stats["five_arc_cuts"].values()) >= 1000

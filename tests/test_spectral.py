@@ -289,3 +289,28 @@ def test_approx_gram_rejects_empty_matrix():
     # n = 0 has no sketch dimension and no tau; the input is refused first.
     with pytest.raises(ValueError, match="at least one vertex"):
         approx_gram_vectors(np.zeros((0, 0)), [], np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("b", [[2], [1, 2, 3, 4], [[1, 2, 3]]])
+def test_exact_gram_rejects_wrong_weight_count(b):
+    # One weight per vertex: a short b must not broadcast over the rows.
+    with pytest.raises(ValueError, match="need 3 vertex weights"):
+        exact_gram_vectors(MmwuState.initial(3), b)
+    with pytest.raises(ValueError, match="need 3 vertex weights"):
+        exact_gram_vectors(np.eye(3) / 3, b)
+
+
+def test_approx_gram_rejects_wrong_weight_count():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="need 3 vertex weights"):
+        approx_gram_vectors(np.zeros((3, 3)), [2], rng)
+    # Refused before the sketch is drawn: the stream is untouched.
+    assert rng.integers(0, 2**32) == np.random.default_rng(0).integers(0, 2**32)
+
+
+def test_gaussian_round_rejects_wrong_weight_count():
+    rng = np.random.default_rng(0)
+    V = exact_gram_vectors(MmwuState.initial(3), [1, 1, 1])
+    with pytest.raises(ValueError, match="need 3 vertex weights"):
+        gaussian_round(V, [2], rng, 5)
+    assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
