@@ -41,7 +41,8 @@ print("\nselect L={0} at k=2: flow", flow.value, "of", net.b_A,
       "-> saturating:", is_saturating(flow))
 paths = decompose_flow(flow)
 for p in paths:
-    print("  path through doubled nodes", p.nodes, "x", p.units)
+    nodes = tuple(net.head[a] for a in p.arcs[:-1])  # the head of every arc but the sink arc
+    print("  path through doubled nodes", nodes, "x", p.units)
 M = demand_graph(paths, net)
 print("  demand graph:", M.pairs, " degree of 0:", M.degrees()[0], "= 2*b(0)")
 

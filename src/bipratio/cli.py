@@ -6,8 +6,9 @@ Subcommands: ``approx`` (ratio sweep), ``exact`` (brute-force oracles),
 randomized command writes byte-identical stdout; wall-clock timings are
 therefore only filled in under ``--timings``.
 
-Exit codes: 0 success, 2 input error, 3 solver failure (an internal error
-or a failed internal audit), 4 verification failure.
+Exit codes: 0 success, 2 input error (including a path that cannot be
+opened), 3 solver failure (an internal error or a failed internal audit),
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -359,7 +360,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, FileNotFoundError, TooLargeError, ValueError) as exc:
+    except (GraphFormatError, OSError, TooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SOLVER_FAILURES as exc:

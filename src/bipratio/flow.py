@@ -1,5 +1,6 @@
 """Flow side of the machinery: networks over the doubled graph, blocking-flow
-max-flow, consistent minimum cuts, path decomposition and demand graphs.
+max-flow, consistent minimum cuts, decomposition into arc walks (each kept as
+the arc ids it was peeled from) and the demand graphs read off those walks.
 
 A selection network for disjoint (L, R) wires a super source into the plus
 copies of L and the minus copies of R (arc capacity b there), the mirror
@@ -42,7 +43,7 @@ class FlowNetwork:
     solved once.
 
     Middle arcs carry a (base edge id, copy) tag, stored under both arc ids
-    of the pair, so that path decompositions can account congestion per
+    of the pair, so that demand graphs can account congestion per
     doubled-graph edge; terminal arcs carry None.
     """
 
@@ -337,18 +338,16 @@ def consistent_min_cut(flow: FlowAssignment) -> SignVector:
 
 
 class FlowPath(NamedTuple):
-    """One source-to-sink path with an integral multiplicity.
-
-    ``nodes`` lists the doubled-graph nodes in order, terminals excluded, so
-    nodes[0] is the entry vertex (source side) and nodes[-1] the exit vertex
-    (sink side).  ``middle`` lists the traversed middle edges as
-    (base edge id, copy) tags.  A named tuple, because a decomposition
-    builds one per path and a tuple is the cheapest immutable record.
+    """One source-to-sink walk in arc ids of the flow's network, with an
+    integral multiplicity: the source arc, the middle arcs (a walk meets the
+    terminals only at its ends), then the sink arc.  The entry vertex is
+    ``head[arcs[0]]``, the exit vertex ``head[arcs[-1] ^ 1]``; ``arc_tag``
+    over ``arcs[1:-1]`` names the traversed middle edges.  A named tuple,
+    the cheapest record, since a decomposition builds one per path.
     """
 
-    nodes: tuple[int, ...]
+    arcs: tuple[int, ...]
     units: int
-    middle: tuple[tuple[int, int], ...]
 
 
 def _flow_graph(net: FlowNetwork) -> tuple[list[int], list[list[int]]]:
@@ -409,19 +408,19 @@ def _cancel_cycles(net: FlowNetwork, flows: list[int], out: list[list[int]]) -> 
 
 
 def decompose_flow(flow: FlowAssignment) -> list[FlowPath]:
-    """Split a feasible flow into source-to-sink paths with multiplicities.
+    """Split a feasible flow into source-to-sink walks with multiplicities.
 
-    Cycles are cancelled first; paths are then peeled greedily, always
+    Cycles are cancelled first; walks are then peeled greedily, always
     leaving a node along its lowest-id out-arc that still carries flow, and
-    each peel subtracts the path bottleneck, first minimum first (in
-    straight-line code for the common three- and five-arc paths, whose inner
-    arcs are all middle arcs).  Flows only decrease, so a node keeps that arc
-    until it empties, then a pointer skips the emptied ones; the next walk
-    keeps the prefix up to the first arc the peel emptied.  Multiplicities
+    each peel subtracts the walk bottleneck, first minimum first (in
+    straight-line code for the common three- and five-arc walks).  Flows
+    only decrease, so a node keeps that arc until it empties, then a pointer
+    skips the emptied ones; the next walk keeps the prefix up to the first
+    arc the peel emptied.  Each path keeps its walk as peeled; multiplicities
     sum to the flow value, over at most as many paths as flow-carrying arcs.
     """
     net = flow.network
-    head, arc_tag, sink = net.head, net.arc_tag, net.sink
+    head, sink = net.head, net.sink
     flows, out = _flow_graph(net)
     _cancel_cycles(net, flows, out)
     flows.append(0)  # index -1: the empty current arc of a node without out-arcs
@@ -455,7 +454,7 @@ def decompose_flow(flow: FlowAssignment) -> list[FlowPath]:
             else:
                 units, cut = f2, 2
             flows[a0], flows[a1], flows[a2] = f0 - units, f1 - units, f2 - units
-            nodes, middle = (head[a0], head[a1]), (arc_tag[a1],)
+            walk = (a0, a1, a2)
         elif len(arcs) == 5:  # source -> entry -> two more copies -> exit -> sink
             a0, a1, a2, a3, a4 = arcs
             f0, f1, f2, f3, f4 = flows[a0], flows[a1], flows[a2], flows[a3], flows[a4]
@@ -470,18 +469,15 @@ def decompose_flow(flow: FlowAssignment) -> list[FlowPath]:
                 units, cut = f4, 4
             flows[a0], flows[a1], flows[a2], flows[a3], flows[a4] = (
                 f0 - units, f1 - units, f2 - units, f3 - units, f4 - units)
-            nodes = (head[a0], head[a1], head[a2], head[a3])
-            middle = (arc_tag[a1], arc_tag[a2], arc_tag[a3])
+            walk = (a0, a1, a2, a3, a4)
         else:
             carried = [flows[a] for a in arcs]
             units = min(carried)
             cut = carried.index(units)
             for a in arcs:
                 flows[a] -= units
-            nodes = tuple([head[a] for a in arcs[:-1]])
-            middle = tuple([tag for tag in map(arc_tag.__getitem__, arcs[1:-1])
-                            if tag is not None])
-        paths.append(tuple.__new__(FlowPath, (nodes, units, middle)))  # skips FlowPath.__new__
+            walk = tuple(arcs)
+        paths.append(tuple.__new__(FlowPath, (walk, units)))  # skips FlowPath.__new__
         remaining -= units
         u = head[arcs[cut] ^ 1]
         del arcs[cut:]
@@ -551,21 +547,24 @@ class DemandMultigraph:
 def demand_graph(paths: Sequence[FlowPath], net: FlowNetwork) -> DemandMultigraph:
     """Demand graph of a path multiset: one parallel edge {i, j} per path unit
     entering at a copy of i and leaving at a copy of j, plus the per-copy
-    usage ledger of every traversed middle edge."""
+    usage ledger of every traversed middle edge, all read off ``net``."""
     n = net.n_base
+    head, arc_tag = net.head, net.arc_tag
     A, B = net.A, net.B
     pairs: dict[tuple[int, int], int] = {}
     usage: dict[tuple[int, int], int] = {}
-    for nodes, units, middle in paths:
-        if not nodes:
-            raise MalformedPathError("path has no interior nodes")
-        entry, exit_ = nodes[0], nodes[-1]
+    for arcs, units in paths:
+        middle = arcs[1:-1]
+        if not middle:
+            raise MalformedPathError("a walk needs at least three arcs")
+        entry, exit_ = head[arcs[0]], head[arcs[-1] ^ 1]
         if entry not in A or exit_ not in B:
             raise MalformedPathError(
                 f"path endpoints ({entry}, {exit_}) are not a source/sink pair")
         i, j = entry % n, exit_ % n
         key = (i, j) if i <= j else (j, i)
         pairs[key] = pairs.get(key, 0) + units
-        for tag in middle:
+        for a in middle:
+            tag = arc_tag[a]
             usage[tag] = usage.get(tag, 0) + units
     return DemandMultigraph(n, pairs, usage)

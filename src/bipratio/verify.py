@@ -420,8 +420,14 @@ def check_flow_decomposition(trials: int = 60, seed: int = 13):
             return False, "multiplicities do not sum to the flow value"
         if len(paths) > len(net.head) // 2:
             return False, "more distinct paths than arcs"
-        if any(len(p.middle) % 2 == 0 for p in paths):
-            return False, "even-length interior path (should alternate sides oddly)"
+        head, arc_tag = net.head, net.arc_tag
+        for arcs, _ in paths:
+            if head[arcs[0] ^ 1] != net.source or head[arcs[-1]] != net.sink:
+                return False, "a walk does not run from the source to the sink"
+            if any(head[a] != head[b ^ 1] for a, b in zip(arcs, arcs[1:])):
+                return False, "consecutive arcs of a walk do not meet"
+            if any(arc_tag[a] is None for a in arcs[1:-1]):
+                return False, "an interior arc of a walk is not a middle arc"
         M = demand_graph(paths, net)
         for e, (u, v, w) in enumerate(G.edges):
             c0, c1 = M.copy_usage(e)

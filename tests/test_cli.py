@@ -206,6 +206,21 @@ def test_missing_file_exit_code(capsys):
     assert main(["exact", "--graph", "/nonexistent/file.txt"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["approx", "--graph", "{dir}"],
+    ["approx", "--graph", "{k3}", "--weights", "{dir}"],
+    ["verify", "--check", "regret", "--graph", "{dir}"],
+    ["gen", "--out", "{dir}", "cycle", "5"],
+])
+def test_unopenable_path_exit_code(args, k3_file, tmp_path, capsys):
+    # A directory cannot be opened as a file (IsADirectoryError); like a
+    # permission error, it is an OSError and an input error.
+    assert main([a.format(dir=tmp_path, k3=k3_file) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_verify_single_check(capsys):
     assert main(["verify", "--check", "rounding-accept", "--quick"]) == 0
     out = capsys.readouterr().out

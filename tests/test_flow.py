@@ -199,9 +199,9 @@ def test_decompose_k3_saturating(k3):
     paths = decompose_flow(flow)
     assert sum(p.units for p in paths) == 2
     for p in paths:
-        assert p.nodes[0] == 0  # enters at the plus copy of 0
-        assert p.nodes[-1] == 3  # leaves at the minus copy of 0
-        assert len(p.middle) % 2 == 1
+        assert net.head[p.arcs[0]] == 0  # enters at the plus copy of 0
+        assert net.head[p.arcs[-1] ^ 1] == 3  # leaves at the minus copy of 0
+        assert len(p.arcs) % 2 == 1  # an odd number of middle arcs
 
 
 def test_decompose_two_parallel_unit_paths():
@@ -212,8 +212,12 @@ def test_decompose_two_parallel_unit_paths():
     flow = max_flow(net)
     assert flow.value == 2
     paths = decompose_flow(flow)
-    assert sorted(paths) == [FlowPath((0, 3), 1, ((0, 0),)),
-                             FlowPath((1, 2), 1, ((0, 1),))]
+    # Arcs 0 and 2 leave the source for 0+ and 1+, arcs 8 and 10 enter the
+    # sink from 0- and 1-, and arcs 16 and 18 run copies 0 and 1 of the edge.
+    assert sorted(paths) == [FlowPath((0, 16, 10), 1), FlowPath((2, 18, 8), 1)]
+    assert [net.arc_tag[p.arcs[1]] for p in sorted(paths)] == [(0, 0), (0, 1)]
+    assert [(net.head[p.arcs[1] ^ 1], net.head[p.arcs[1]]) for p in sorted(paths)] == [
+        (0, 3), (1, 2)]
 
 
 def test_demand_graph_k3_self_loop(k3):
@@ -251,11 +255,21 @@ def test_demand_graph_cross_pair():
 
 def test_demand_graph_rejects_malformed(k3):
     aux = build_auxiliary_graph(k3)
-    net = build_network(aux, {0}, set(), 2)
-    max_flow(net)
-    bad = FlowPath((1, 4), 1, ())
-    with pytest.raises(MalformedPathError):
-        demand_graph([bad], net)
+    net = build_network(aux, {0, 1}, set(), 2)  # A = {0+, 1+}, B = {0-, 1-}
+    walk = decompose_flow(max_flow(net))[0].arcs
+    source_arcs, sink_arcs, middle_arcs = _layout(net)
+    demand_graph([FlowPath(walk, 1)], net)
+    # A walk entering at 2+, which is not a source-side copy here.
+    wrong_entry = (4,) + walk[1:]
+    assert net.head[4] == 2 and net.tail(4) == net.source
+    # Walks of one or two arcs whose ends pass the endpoint test: the middle
+    # arc from 1- to 0+, and the arcs into 0+ from the source and out of 0-
+    # to the sink.
+    back = next(a for a in middle_arcs + [a ^ 1 for a in middle_arcs]
+                if net.head[a] == 0 and net.tail(a) == 4)
+    for bad in [wrong_entry, (back,), (), (source_arcs[0], sink_arcs[0])]:
+        with pytest.raises(MalformedPathError):
+            demand_graph([FlowPath(bad, 1)], net)
 
 
 def test_per_copy_congestion_bounded():
@@ -349,19 +363,15 @@ def _check_paths_against_arc_flows(net, flow, paths):
     # cycle cancellation removed: a circulation running with the flow.
     # Replaying the peel on the routed units, every path must leave each node
     # along its lowest-id out-arc that still carries units.
-    source_arcs, sink_arcs, middle_arcs = _layout(net)
-    source_arc = {net.head[a]: a for a in source_arcs}
-    sink_arc = {net.tail(a): a for a in sink_arcs}
-    middle_arc = {net.arc_tag[a]: a for a in middle_arcs}
-    walks = []
-    for p in paths:
-        arcs = [source_arc[p.nodes[0]]]
-        for u, tag in zip(p.nodes, p.middle):
-            a = middle_arc[tag]
-            arcs.append(a if net.tail(a) == u else a ^ 1)
-        arcs.append(sink_arc[p.nodes[-1]])
-        assert tuple(net.head[a] for a in arcs[:-1]) == p.nodes
-        walks.append(arcs)
+    # Each walk runs from a selected source arc over contiguous middle arcs
+    # to a selected sink arc.
+    source_arcs, sink_arcs, _ = _layout(net)
+    walks = [p.arcs for p in paths]
+    for arcs in walks:
+        assert type(arcs) is tuple and len(arcs) >= 3
+        assert arcs[0] in source_arcs and arcs[-1] in sink_arcs
+        assert all(net.arc_tag[a] is not None for a in arcs[1:-1])
+        assert all(net.head[a] == net.tail(b) for a, b in zip(arcs, arcs[1:]))
     routed = [0] * len(net.head)
     for p, arcs in zip(paths, walks):
         for a in arcs:

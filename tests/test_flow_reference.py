@@ -7,18 +7,23 @@ the game's random stream depends on all of them.  The reference below is the
 earlier, plainer code (a full-depth BFS with an arc scan per step, one DFS
 for every phase, an indexed peel for every path length, numpy scalar
 accumulation), kept as it was apart from its names, its error types and its
-counters: cancelled cycles, the sink depths of each solve's phases, and the
-cut position of each five-arc peel.  The counters show that the seeded cases
-reach the straight-line paths of ``max_flow`` (a depth-3 first phase, alone
-or before deeper phases, beside first phases deeper than 3) and of
-``decompose_flow`` (five-arc peels cut at every position, with and without
-ties).  Besides random networks of up to 12 vertices, the round is replayed
-on every solve of a seeded sweep on a 40-vertex graph.
+counters: cancelled cycles, the sink depths of each solve's phases, the cut
+position of each five-arc peel, and the peels of seven or more arcs.  It
+still records a path as its nodes and middle-edge tags (``RefPath``); the
+library's arc walks are compared with it through ``net.head`` and
+``net.arc_tag``, which name every arc of a walk uniquely.  The counters show
+that the seeded cases reach the straight-line paths of ``max_flow`` (a
+depth-3 first phase, alone or before deeper phases, beside first phases
+deeper than 3) and every peel of ``decompose_flow`` (five-arc peels cut at
+every position, with and without ties, and the generic peel).  Besides
+random networks of up to 12 vertices, the round is replayed on every solve
+of a seeded sweep on a 40-vertex graph.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -186,6 +191,15 @@ def _ref_cancel_cycles(net, flows, out):
         cancelled += 1
 
 
+class RefPath(NamedTuple):
+    """The reference's path record: the arc heads but the sink's, the units,
+    and the tags of the middle arcs."""
+
+    nodes: tuple
+    units: int
+    middle: tuple
+
+
 def ref_decompose_flow(net, flow, stats=None):
     head, arc_tag = net.head, net.arc_tag
     flows, out = _ref_flow_graph(net)
@@ -217,12 +231,14 @@ def ref_decompose_flow(net, flow, stats=None):
         if stats is not None and len(arcs) == 5:
             tied = sum(flows[a] == units for a in arcs) > 1
             stats["five_arc_cuts"][cut, tied] += 1
+        if stats is not None and len(arcs) >= 7:
+            stats["seven_plus_arcs"] += 1
         for a in arcs:
             flows[a] -= units
         nodes = tuple([head[a] for a in arcs[:-1]])
         middle = tuple([tag for tag in map(arc_tag.__getitem__, arcs[1:-1])
                         if tag is not None])
-        paths.append(FlowPath(nodes, units, middle))
+        paths.append(RefPath(nodes, units, middle))
         remaining -= units
         u = head[arcs[cut] ^ 1]
         del arcs[cut:]
@@ -313,6 +329,14 @@ def _inject_circulation(rng, nets):
     return False
 
 
+def _as_ref_paths(paths, net):
+    """The library's walks as the reference's (nodes, units, middle) records:
+    each arc's head but the sink's, and the tags of the middle arcs."""
+    head, arc_tag = net.head, net.arc_tag
+    return [RefPath(tuple([head[a] for a in p.arcs[:-1]]), p.units,
+                    tuple([arc_tag[a] for a in p.arcs[1:-1]])) for p in paths]
+
+
 def _solve_both(net, ref, stats=None):
     flow, ref_flow = max_flow(net), ref_max_flow(ref, stats)
     assert net.cap == ref.cap
@@ -323,7 +347,7 @@ def _solve_both(net, ref, stats=None):
 
 def test_flow_round_matches_reference():
     rng = np.random.default_rng(90125)
-    stats = {"cycles": 0, "long_paths": 0, "circulations": 0,
+    stats = {"cycles": 0, "long_paths": 0, "circulations": 0, "seven_plus_arcs": 0,
              "phase_shapes": Counter(), "five_arc_cuts": Counter()}
     for _ in range(60):
         G = _random_graph(rng)
@@ -339,17 +363,19 @@ def test_flow_round_matches_reference():
                 stats["circulations"] += _inject_circulation(rng, [net, ref])
             paths = decompose_flow(flow)
             ref_paths = ref_decompose_flow(ref, ref_flow, stats)
-            assert paths == ref_paths
-            assert all(type(p) is FlowPath for p in paths)
-            stats["long_paths"] += sum(len(p.nodes) >= 4 for p in paths)
+            assert _as_ref_paths(paths, net) == ref_paths
+            assert all(type(p) is FlowPath and type(p.arcs) is tuple for p in paths)
+            stats["long_paths"] += sum(len(p.arcs) >= 5 for p in paths)
             M, ref_M = demand_graph(paths, net), ref_demand_graph(ref_paths, ref)
             assert list(M.pairs.items()) == list(ref_M.pairs.items())
             assert list(M.usage.items()) == list(ref_M.usage.items())
             F = demand_matrix(M, G.b)
             assert F.tobytes() == ref_demand_matrix(ref_M, G.b).tobytes()
-    # The cases reach the cycle cancelling and paths of five or more arcs.
+    # The cases reach the cycle cancelling, paths of five or more arcs and
+    # the generic peel of seven or more.
     assert stats["circulations"] >= 20 and stats["cycles"] >= 20
     assert stats["long_paths"] >= 20
+    assert stats["seven_plus_arcs"] >= 20
     # Every shape of phase sequence the straight-line first phase meets, and
     # five-arc peels cut at each position, alone and as the first of tied
     # minima (the last arc cannot be a tied first minimum).
@@ -439,7 +465,8 @@ def test_flow_round_matches_reference_on_game_traffic(monkeypatch):
     G = gnp(40, 0.51, w_max=3, seed=7)
     game.approx_bipartiteness(G, GameParams(seed=7))
     monkeypatch.undo()
-    stats = {"cycles": 0, "phase_shapes": Counter(), "five_arc_cuts": Counter()}
+    stats = {"cycles": 0, "seven_plus_arcs": 0, "phase_shapes": Counter(),
+             "five_arc_cuts": Counter()}
     for net, *snapshot in solves:
         _restore(net, *snapshot)
         flow = max_flow(net)
@@ -452,10 +479,12 @@ def test_flow_round_matches_reference_on_game_traffic(monkeypatch):
         assert flow.value == ref_flow.value
         assert flow.source_side == ref_flow.source_side
         ref_paths = ref_decompose_flow(net, ref_flow, stats)
-        assert paths == ref_paths
+        assert _as_ref_paths(paths, net) == ref_paths
         ref_M = ref_demand_graph(ref_paths, net)
         assert list(M.pairs.items()) == list(ref_M.pairs.items())
         assert list(M.usage.items()) == list(ref_M.usage.items())
-    # Over a hundred solves, each a depth-3 first phase and deeper ones.
+    # Over a hundred solves, each a depth-3 first phase and deeper ones, and
+    # peels of every shape: five arcs, and (rarely) seven or more.
     assert stats["phase_shapes"]["depth3_then_deeper"] >= 100
     assert sum(stats["five_arc_cuts"].values()) >= 1000
+    assert stats["seven_plus_arcs"] >= 3
