@@ -6,9 +6,10 @@ Subcommands: ``approx`` (ratio sweep), ``exact`` (brute-force oracles),
 randomized command writes byte-identical stdout; wall-clock timings are
 therefore only filled in under ``--timings``.
 
-Exit codes: 0 success, 2 input error (including a path that cannot be
-opened), 3 solver failure (an internal error or a failed internal audit),
-4 verification failure.
+Exit codes: 0 success, 1 stdout closed by its reader (as in ``| head``),
+2 input error (including a path that cannot be opened or a seed that is not
+a non-negative integer), 3 solver failure (an internal error or a failed
+internal audit), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .oracle import brute_beta, brute_maxcut, brute_well_linked
 from .spectral import DELTA
 from .verify import CHECKS, SMALLEST_N, run_checks
 
+EXIT_CLOSED_STDOUT = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
@@ -71,11 +73,22 @@ def fmt_signs(x) -> str:
     return "".join("+" if v > 0 else "-" if v < 0 else "0" for v in x)
 
 
+def _checked_seed(value, origin: str) -> int:
+    """``value`` as a seed; anything but a non-negative integer is an input
+    error that names ``origin``."""
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"{origin} must be a non-negative integer, got {value}")
+    return seed
+
+
 def _seed_from(args) -> int:
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("BIPRATIO_SEED")
-    return int(env) if env else 0
+        return _checked_seed(args.seed, "--seed")
+    return _checked_seed(os.environ.get("BIPRATIO_SEED") or 0, "BIPRATIO_SEED")
 
 
 def _load(args) -> WeightedGraph:
@@ -225,10 +238,10 @@ def cmd_maxcut(args) -> int:
 def cmd_gen(args) -> int:
     meta = None
     if args.generator == "gnp":
-        G = gnp(args.n, args.p, args.w_max, args.gen_seed)
+        G = gnp(args.n, args.p, args.w_max, _checked_seed(args.gen_seed, "gen_seed"))
     elif args.generator == "planted-bipartite":
         G, meta = planted_bipartite(args.n, args.p_cross, args.p_noise,
-                                    args.gen_seed)
+                                    _checked_seed(args.gen_seed, "gen_seed"))
     elif args.generator == "cycle":
         G = cycle(args.n)
     else:
@@ -250,6 +263,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed is not None:
+        _checked_seed(args.seed, "--seed")
     names = [args.check] if args.check else list(CHECKS)
     given = {flag: param for flag, param in VERIFY_FLAGS.items()
              if getattr(args, flag) is not None}
@@ -359,7 +374,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone (``| head``): send the rest of stdout, and the
+        # flush at exit, to devnull, as the signal module docs advise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except (GraphFormatError, OSError, TooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

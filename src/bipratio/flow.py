@@ -161,67 +161,64 @@ class FlowAssignment:
         return worst
 
 
-def _bfs_levels(net: FlowNetwork) -> tuple[list[int], list]:
-    """Residual BFS levels, and each searched node's admissible arcs
-    (residual, head one level deeper) in adjacency order; see ``max_flow``."""
+def _bfs_levels(net: FlowNetwork) -> list[int]:
+    """Residual BFS levels up to the first level holding a copy with a
+    residual sink arc, the sink one deeper; unreached nodes stay at -1."""
     adj, head, cap, sink_arc = net.adj, net.head, net.cap, net.sink_arc
     level = [-1] * net.n_nodes
-    admissible: list = [()] * net.n_nodes
     level[net.source] = depth = 0
     frontier = [net.source]
     while frontier:
         depth += 1
         reached = []
         for u in frontier:
-            admissible[u] = arcs = []
             for a in adj[u]:
                 if cap[a] > 0:
                     v = head[a]
                     if level[v] < 0:
                         level[v] = depth
                         reached.append(v)
-                    if level[v] == depth:
-                        arcs.append(a)
-        last = [v for v in reached if cap[sink_arc[v]] > 0]
-        if last:
+        if any(cap[sink_arc[v]] > 0 for v in reached):
             level[net.sink] = depth + 1
-            for v in last:
-                admissible[v] = (sink_arc[v],)
             break
         frontier = reached
-    return level, admissible
+    return level
 
 
 def max_flow(net: FlowNetwork) -> FlowAssignment:
     """Maximum integral source-sink flow via blocking flows on level graphs.
 
-    Each phase's BFS stops at the first level with a residual sink arc (its
-    copies keep their sink arcs alone) and the blocking flow walks the
-    admissible lists in adjacency order, so the augmenting paths are those
-    of a search over every arc.  A phase with the sink at level 3 (source ->
-    source-side copy -> middle arc -> sink-side copy -> sink, only ever the
-    first phase) is walked in straight-line code; deeper phases use a DFS.
-    The solve mutates the residuals in place, so a network is solved once
-    per selection (``FlowNetwork.select`` restores it), and audits itself:
-    the residual source-side cut must equal the flow.
+    Plain Dinic: each phase's BFS stops at the first level with a residual
+    sink arc, and the blocking flow takes the arcs of ``adj`` in order that
+    have residual and a head one level deeper; below that level lies only
+    the sink, so the augmenting paths are those of a full-depth search.  A
+    phase with the sink at level 3 (source -> source-side copy -> middle arc
+    -> sink-side copy -> sink, only ever the first phase) is walked in
+    straight-line code; deeper phases use a DFS.  The solve mutates the
+    residuals in place, so a network is solved once per selection
+    (``FlowNetwork.select`` restores it), and audits itself: the residual
+    source-side cut must equal the flow.
     """
     if net.solved:
         raise RuntimeError("network already solved; select() a pair before solving again")
-    head, cap, sink_arc = net.head, net.cap, net.sink_arc
+    adj, head, cap, sink_arc = net.adj, net.head, net.cap, net.sink_arc
     s, t = net.source, net.sink
     total = 0
     while True:
-        level, admissible = _bfs_levels(net)
+        level = _bfs_levels(net)
         if level[t] < 0:
             break
         if level[t] == 3:
             # The DFS's paths, without its stack: each source-side copy
             # pushes along its middle arcs in order until its source arc is
             # saturated, skipping heads whose sink arc is empty (dead).
-            # Each middle arc is met once, so its residual is still positive.
-            for a0 in admissible[s]:
+            for a0 in adj[s]:
                 room = cap[a0]
-                for a1 in admissible[head[a0]]:
+                if not room:
+                    continue
+                for a1 in adj[head[a0]]:
+                    if not cap[a1] or level[head[a1]] != 2:
+                        continue
                     a2 = sink_arc[head[a1]]
                     c2 = cap[a2]
                     if c2:
@@ -259,11 +256,11 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
                 u = head[path[cut] ^ 1]
                 del path[cut:]
                 continue
-            arcs = admissible[u]
-            i, end = it[u], len(arcs)
+            arcs = adj[u]
+            i, end, nxt = it[u], len(arcs), level[u] + 1
             while i < end:
                 a = arcs[i]
-                if cap[a] > 0 and level[head[a]] >= 0:
+                if cap[a] > 0 and level[head[a]] == nxt:
                     break
                 i += 1
             it[u] = i
@@ -567,4 +564,6 @@ def demand_graph(paths: Sequence[FlowPath], net: FlowNetwork) -> DemandMultigrap
         for a in middle:
             tag = arc_tag[a]
             usage[tag] = usage.get(tag, 0) + units
+    if None in usage:
+        raise MalformedPathError("a walk uses a terminal arc between its ends")
     return DemandMultigraph(n, pairs, usage)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -234,6 +235,39 @@ def test_env_seed_fallback(k3_file, capsys, monkeypatch):
     assert report["seed"] == 42
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+@pytest.mark.parametrize("command", ["approx", "exact", "maxcut"])
+def test_bad_env_seed_exit_code(command, value, k3_file, capsys, monkeypatch):
+    monkeypatch.setenv("BIPRATIO_SEED", value)
+    assert main([command, "--graph", k3_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: BIPRATIO_SEED must be a non-negative integer, got {value}"]
+
+
+def test_negative_generator_seed_exit_code(capsys):
+    assert main(["gen", "gnp", "5", "0.5", "3", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: gen_seed must be a non-negative integer, got -1"]
+
+
+def test_closed_stdout_exit_code():
+    # A reader that stops early (``| head -1``) is no input error: exit 1
+    # and a silent stderr.  Under default buffering the write itself fails,
+    # as the output is far larger than a pipe holds.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "bipratio", "gen", "gnp", "400", "0.5",
+                             "3", "1"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.readline().split()[0] == b"400"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_subprocess_entry_point(k3_file):
     proc = run_cli(["exact", "--graph", k3_file])
     assert proc.returncode == 0
@@ -327,7 +361,7 @@ WEIGHTS = st.integers(1, 2**64)
 def cli_runs(draw):
     """Arguments of one command plus the graph and vertex-weight files it reads."""
     command = draw(st.sampled_from(["approx", "exact", "maxcut", "verify"]))
-    flags = {"--seed": st.integers(0, 3)}
+    flags = {"--seed": st.integers(-2, 3)}
     if command == "verify":
         flags.update({"--n": st.integers(-1, 4), "--trials": st.integers(-1, 2),
                       "--k": st.integers(-1, 3)})
@@ -358,8 +392,9 @@ def cli_runs(draw):
 @given(cli_runs())
 def test_every_run_exits_with_a_documented_code(run):
     # Either exit 0 with stdout, or exit 2, 3 or 4 with one line on stderr;
-    # never an escaped exception.
+    # never an escaped exception.  A negative seed is refused before all else.
     args, files = run
+    seed = args[args.index("--seed") + 1] if "--seed" in args else "0"
     with tempfile.TemporaryDirectory() as tmp:
         if files is not None:
             graph_text, weights_text = files
@@ -377,6 +412,9 @@ def test_every_run_exits_with_a_documented_code(run):
     else:
         assert code in (2, 3, 4)
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+    if int(seed) < 0:
+        assert (code, err.getvalue()) == (
+            2, f"error: --seed must be a non-negative integer, got {seed}\n")
 
 
 def _readme_synopsis() -> dict[str, str]:

@@ -176,7 +176,7 @@ def test_consistent_cut_reuses_the_last_search(monkeypatch):
         assert calls
         if is_saturating(flow):
             continue
-        level, _ = real_bfs(net)
+        level = real_bfs(net)
         assert net.sink not in flow.source_side
         assert flow.source_side == {v for v, lv in enumerate(level) if lv >= 0}
         calls.clear()
@@ -267,7 +267,12 @@ def test_demand_graph_rejects_malformed(k3):
     # to the sink.
     back = next(a for a in middle_arcs + [a ^ 1 for a in middle_arcs]
                 if net.head[a] == 0 and net.tail(a) == 4)
-    for bad in [wrong_entry, (back,), (), (source_arcs[0], sink_arcs[0])]:
+    # A three-arc walk whose interior is a terminal arc: into 0+ from the
+    # source, then out of 0- and out of 1- to the sink.
+    terminal_inside = (source_arcs[0], sink_arcs[0], sink_arcs[1])
+    assert terminal_inside == (0, 12, 14)
+    for bad in [wrong_entry, (back,), (), (source_arcs[0], sink_arcs[0]),
+                terminal_inside]:
         with pytest.raises(MalformedPathError):
             demand_graph([FlowPath(bad, 1)], net)
 

@@ -17,7 +17,8 @@ depth-3 first phase, alone or before deeper phases, beside first phases
 deeper than 3) and every peel of ``decompose_flow`` (five-arc peels cut at
 every position, with and without ties, and the generic peel).  Besides
 random networks of up to 12 vertices, the round is replayed on every solve
-of a seeded sweep on a 40-vertex graph.
+of a seeded sweep on a 40-vertex graph and of seeded max-cut recursions on
+8-vertex graphs.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from bipratio.flow import (
     max_flow,
 )
 from bipratio.generators import gnp
+from bipratio.maxcut import recursive_bipart
 from bipratio.spectral import demand_matrix
 from bipratio.verify import random_test_graph
 
@@ -447,11 +449,24 @@ def _restore(net, cap, cap0, A, B, b_A):
     net.A, net.B, net.b_A, net.solved = A, B, b_A, False
 
 
-def test_flow_round_matches_reference_on_game_traffic(monkeypatch):
-    # The random cases above stop at n = 12.  Replay every solve of a seeded
-    # sweep on G(40, ~400), whose networks hold about 1,960 arcs.  The
-    # game re-selects one network per game, so the spy keeps a snapshot of
-    # everything a selection writes.
+def _sweep_traffic():
+    from bipratio import game
+
+    game.approx_bipartiteness(gnp(40, 0.51, w_max=3, seed=7), GameParams(seed=7))
+
+
+def _maxcut_traffic():
+    for seed in range(20):
+        recursive_bipart(gnp(8, 0.5, 3, seed=seed), GameParams(seed=seed))
+
+
+@pytest.mark.parametrize("traffic", ["sweep", "maxcut"])
+def test_flow_round_matches_reference_on_game_traffic(traffic, monkeypatch):
+    # The random cases above stop at n = 12 and k = 4.  Replay every solve
+    # of a seeded sweep on G(40, ~400), whose networks hold about 1,960
+    # arcs, or of seeded max-cut recursions on twenty G(8, 1/2) graphs,
+    # whose games reach k = 8 and 16.  The game re-selects one network per
+    # game, so the spy keeps a snapshot of everything a selection writes.
     from bipratio import game
 
     solves = []
@@ -462,11 +477,11 @@ def test_flow_round_matches_reference_on_game_traffic(monkeypatch):
         return real_max_flow(net)
 
     monkeypatch.setattr(game, "max_flow", spy)
-    G = gnp(40, 0.51, w_max=3, seed=7)
-    game.approx_bipartiteness(G, GameParams(seed=7))
+    {"sweep": _sweep_traffic, "maxcut": _maxcut_traffic}[traffic]()
     monkeypatch.undo()
     stats = {"cycles": 0, "seven_plus_arcs": 0, "phase_shapes": Counter(),
              "five_arc_cuts": Counter()}
+    unsaturated = 0
     for net, *snapshot in solves:
         _restore(net, *snapshot)
         flow = max_flow(net)
@@ -478,13 +493,19 @@ def test_flow_round_matches_reference_on_game_traffic(monkeypatch):
         assert net.cap == cap
         assert flow.value == ref_flow.value
         assert flow.source_side == ref_flow.source_side
+        unsaturated += flow.value < net.b_A
         ref_paths = ref_decompose_flow(net, ref_flow, stats)
         assert _as_ref_paths(paths, net) == ref_paths
         ref_M = ref_demand_graph(ref_paths, net)
         assert list(M.pairs.items()) == list(ref_M.pairs.items())
         assert list(M.usage.items()) == list(ref_M.usage.items())
-    # Over a hundred solves, each a depth-3 first phase and deeper ones, and
-    # peels of every shape: five arcs, and (rarely) seven or more.
-    assert stats["phase_shapes"]["depth3_then_deeper"] >= 100
-    assert sum(stats["five_arc_cuts"].values()) >= 1000
-    assert stats["seven_plus_arcs"] >= 3
+    if traffic == "sweep":
+        # Over a hundred solves, each a depth-3 first phase and deeper ones,
+        # and peels of every shape: five arcs, and (rarely) seven or more.
+        assert stats["phase_shapes"]["depth3_then_deeper"] >= 100
+        assert sum(stats["five_arc_cuts"].values()) >= 1000
+        assert stats["seven_plus_arcs"] >= 3
+    else:
+        # Ratio guesses beyond the random cases, and cuts as well as flows.
+        assert max(net.k for net, *_ in solves) >= 8
+        assert unsaturated >= 20
