@@ -99,6 +99,27 @@ def _sets_1based(vertices) -> list[int]:
     return sorted(v + 1 for v in vertices)
 
 
+def _emit(text: str) -> None:
+    """Write a command's multi-line block to stdout in one call, in full.
+
+    An unbuffered stdout (``python -u``, ``PYTHONUNBUFFERED``) hands a block
+    straight to the file, which takes part of it and returns a short count
+    when the reader goes away; its text layer drops the rest silently.
+    Writing the encoded bytes until none are left makes the next write
+    raise BrokenPipeError instead.  A text stream without a byte layer
+    (``io.StringIO``) takes the block as it is.
+    """
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if raw is None:
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
+
+
 def _report(args, graph: WeightedGraph, mode: str, params: dict, result: dict,
             timings: dict, seed: int, text_lines: list[str]) -> None:
     if args.json:
@@ -112,10 +133,9 @@ def _report(args, graph: WeightedGraph, mode: str, params: dict, result: dict,
             "seed": seed,
             "version": __version__,
         }
-        print(json.dumps(report, indent=2))
+        _emit(json.dumps(report, indent=2) + "\n")
     else:
-        for line in text_lines:
-            print(line)
+        _emit("".join(line + "\n" for line in text_lines))
 
 
 def cmd_approx(args) -> int:
@@ -258,7 +278,7 @@ def cmd_gen(args) -> int:
                 fh.write("\n")
             print(f"wrote {sidecar}")
     else:
-        sys.stdout.write(text)
+        _emit(text)
     return 0
 
 

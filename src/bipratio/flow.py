@@ -44,7 +44,10 @@ class FlowNetwork:
 
     Middle arcs carry a (base edge id, copy) tag, stored under both arc ids
     of the pair, so that demand graphs can account congestion per
-    doubled-graph edge; terminal arcs carry None.
+    doubled-graph edge; terminal arcs carry None.  ``pair_keys`` maps each
+    demand pair recorded on this network to its one key tuple, which the
+    demand graphs of every round share; it lives as long as the network,
+    that is, one game.
     """
 
     def __init__(self, aux: AuxiliaryGraph, k: int):
@@ -61,6 +64,7 @@ class FlowNetwork:
         self.cap: list[int] = []
         self.cap0: list[int] = []
         self.arc_tag: list[tuple[int, int] | None] = []
+        self.pair_keys: dict[tuple[int, int], tuple[int, int]] = {}
         self.adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
         for copy in range(2 * n):
             self._add_pair(self.source, copy, 0, None)
@@ -491,6 +495,9 @@ class DemandMultigraph:
     ledger maps a base edge id to the flow units routed through each of its
     two doubled copies.  The graph owns the dicts it is given: they are
     kept, not copied, so a caller hands them over and stops writing to them.
+    Its pair keys may be the very tuples that other demand graphs of its
+    network hold (``FlowNetwork.pair_keys``); tuples are immutable, so the
+    sharing cannot be observed.
     """
 
     def __init__(self, n: int, pairs: dict[tuple[int, int], int] | None = None,
@@ -544,9 +551,10 @@ class DemandMultigraph:
 def demand_graph(paths: Sequence[FlowPath], net: FlowNetwork) -> DemandMultigraph:
     """Demand graph of a path multiset: one parallel edge {i, j} per path unit
     entering at a copy of i and leaving at a copy of j, plus the per-copy
-    usage ledger of every traversed middle edge, all read off ``net``."""
+    usage ledger of every traversed middle edge, all read off ``net``; a
+    pair's key is the tuple ``net.pair_keys`` holds for it."""
     n = net.n_base
-    head, arc_tag = net.head, net.arc_tag
+    head, arc_tag, pair_keys = net.head, net.arc_tag, net.pair_keys
     A, B = net.A, net.B
     pairs: dict[tuple[int, int], int] = {}
     usage: dict[tuple[int, int], int] = {}
@@ -560,7 +568,11 @@ def demand_graph(paths: Sequence[FlowPath], net: FlowNetwork) -> DemandMultigrap
                 f"path endpoints ({entry}, {exit_}) are not a source/sink pair")
         i, j = entry % n, exit_ % n
         key = (i, j) if i <= j else (j, i)
-        pairs[key] = pairs.get(key, 0) + units
+        c = pairs.get(key)
+        if c is None:  # first entry this round: the network's shared key
+            pairs[pair_keys.setdefault(key, key)] = units
+        else:
+            pairs[key] = c + units
         for a in middle:
             tag = arc_tag[a]
             usage[tag] = usage.get(tag, 0) + units

@@ -254,11 +254,15 @@ def test_negative_generator_seed_exit_code(capsys):
         "error: gen_seed must be a non-negative integer, got -1"]
 
 
-def test_closed_stdout_exit_code():
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_closed_stdout_exit_code(unbuffered):
     # A reader that stops early (``| head -1``) is no input error: exit 1
-    # and a silent stderr.  Under default buffering the write itself fails,
-    # as the output is far larger than a pipe holds.
+    # and a silent stderr.  The output is far larger than a pipe holds, so
+    # the write meets the closed pipe, under default buffering and also
+    # unbuffered, where the file takes a short write before the next fails.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen([sys.executable, "-m", "bipratio", "gen", "gnp", "400", "0.5",
                              "3", "1"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=env)

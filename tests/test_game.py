@@ -317,6 +317,18 @@ def test_seeded_sweep_repeats_exactly():
         == [r.demand.pairs for r in b.certificate.records]
 
 
+def test_certificate_rounds_share_pair_keys():
+    # The rounds of one game take their pair keys from the game's network,
+    # so a certificate holds one tuple per distinct pair, not one per round.
+    from bipratio.generators import gnp
+
+    cert = approx_bipartiteness(gnp(20, 0.3, 3, seed=8), GameParams(seed=6)).certificate
+    assert cert.rounds == 81
+    keys = {id(key): key for rec in cert.records for key in rec.demand.pairs}
+    assert len(keys) == len(cert.union.pairs)
+    assert all(id(key) in keys for key in cert.union.pairs)
+
+
 def test_seeded_outputs_are_pinned():
     # Literal outputs of two seeded runs: a change that alters the random
     # stream or any exact answer shows here, not only in benchmark digests.
