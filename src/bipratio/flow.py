@@ -492,20 +492,31 @@ class DemandMultigraph:
 
     Self-loops (a path entering the plus copy and leaving the minus copy of
     one vertex) are allowed and count twice toward the degree.  The usage
-    ledger maps a base edge id to the flow units routed through each of its
-    two doubled copies.  The graph owns the dicts it is given: they are
-    kept, not copied, so a caller hands them over and stops writing to them.
+    ledger maps a middle-edge copy ``(base edge id, copy)`` to the flow units
+    routed through it.  The graph owns the ``pairs`` dict it is given: it is
+    kept, not copied, so a caller hands it over and stops writing to it.
+    The ``usage`` dict is read once into two parallel tuples, its keys and
+    its units in the dict's order, which hold a round's ledger in far less
+    memory than a hash table; ``usage`` returns a fresh dict built from them.
     Its pair keys may be the very tuples that other demand graphs of its
-    network hold (``FlowNetwork.pair_keys``); tuples are immutable, so the
-    sharing cannot be observed.
+    network hold (``FlowNetwork.pair_keys``), as may its ledger keys
+    (``FlowNetwork.arc_tag``); tuples are immutable, so the sharing cannot
+    be observed.
     """
 
     def __init__(self, n: int, pairs: dict[tuple[int, int], int] | None = None,
                  usage: dict[tuple[int, int], int] | None = None):
         self.n = n
         self.pairs: dict[tuple[int, int], int] = {} if pairs is None else pairs
-        self.usage: dict[tuple[int, int], int] = {} if usage is None else usage
+        usage = usage or {}
+        self._usage_tags: tuple[tuple[int, int], ...] = tuple(usage)
+        self._usage_units: tuple[int, ...] = tuple(usage.values())
         self._degrees: list[int] | None = None
+
+    @property
+    def usage(self) -> dict[tuple[int, int], int]:
+        """The usage ledger as a new dict, keys in first-traversed order."""
+        return dict(zip(self._usage_tags, self._usage_units))
 
     def degrees(self) -> list[int]:
         """Weighted degree of each vertex, counted on the first call since
@@ -523,7 +534,11 @@ class DemandMultigraph:
             yield a, b, self.pairs[(a, b)]
 
     def copy_usage(self, base_edge: int) -> tuple[int, int]:
-        return (self.usage.get((base_edge, 0), 0), self.usage.get((base_edge, 1), 0))
+        """Units through the two copies of one base edge.  Each call builds
+        the ``usage`` view, O(ledger entries); read ``usage`` once to look
+        up many edges."""
+        usage = self.usage
+        return (usage.get((base_edge, 0), 0), usage.get((base_edge, 1), 0))
 
     @staticmethod
     def union(graphs: Sequence["DemandMultigraph"], n: int) -> "DemandMultigraph":
@@ -536,7 +551,7 @@ class DemandMultigraph:
                 raise ValueError("demand graphs live on different vertex sets")
             for key, c in g.pairs.items():
                 pairs[key] = pairs.get(key, 0) + c
-            for key, c in g.usage.items():
+            for key, c in zip(g._usage_tags, g._usage_units):
                 usage[key] = usage.get(key, 0) + c
         return DemandMultigraph(n, pairs, usage)
 

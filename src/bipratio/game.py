@@ -97,9 +97,13 @@ class GameParams:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One matched round: the chosen side, its demand graph, and tr(F X)."""
+    """One matched round: the chosen side, its demand graph, and tr(F X).
 
-    side: frozenset[int]
+    ``side`` is L as a sorted tuple of vertex ids, which a record keeps in
+    far less memory than a frozenset; ``i in side`` still tests membership.
+    """
+
+    side: tuple[int, ...]
     demand: DemandMultigraph
     inner: float
 
@@ -190,7 +194,8 @@ def play_round(net: FlowNetwork, state: MmwuState, rng: np.random.Generator,
             raise AssertionError(
                 f"saturating round violates the demand degree law at vertex {i}")
     F = demand_matrix(M, b)
-    return RoundRecord(rounded.L, M, float((F * X).sum())), state.advance(F)
+    record = RoundRecord(tuple(sorted(rounded.L)), M, float((F * X).sum()))
+    return record, state.advance(F)
 
 
 def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None,

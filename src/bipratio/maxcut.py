@@ -126,14 +126,18 @@ def _solve_level(G: WeightedGraph, ids: tuple[int, ...], level: int,
     # depth never exceeds that graph's vertex count.
     if level > n_top:
         raise AssertionError("recursion depth exceeded the vertex count")
+    # Only the witness is read here: dropping the sweep frees its certificate
+    # before the deeper levels run.
     res = approx_bipartiteness(G, params, seed_path=(params.seed, 2, level))
-    L, R, Z = tripartition(res.x_best)
+    x_best, beta = res.x_best, res.beta
+    del res
+    L, R, Z = tripartition(x_best)
     w_internal = sum(w for u, v, w in G.edges
                      if (u in L and v in L) or (u in R and v in R))
     w_boundary = sum(w for u, v, w in G.edges if (u in Z) != (v in Z))
     vol = sum(G.deg[i] for i in L | R)
     # The witness ratio ties down exactly what this level can leave uncut.
-    if Fraction(2 * w_internal + w_boundary) != res.beta * vol:
+    if Fraction(2 * w_internal + w_boundary) != beta * vol:
         raise AssertionError("level accounting disagrees with the witness ratio")
     side, deeper, sub_uncut = L, [], Fraction(0)
     if Z:
@@ -150,6 +154,6 @@ def _solve_level(G: WeightedGraph, ids: tuple[int, ...], level: int,
     if uncut > w_internal + Fraction(w_boundary, 2) + sub_uncut:
         raise AssertionError("level accounting identity violated")
     trace = LevelTrace(frozenset(ids[i] for i in L), frozenset(ids[i] for i in R),
-                       frozenset(ids[i] for i in Z), res.beta,
+                       frozenset(ids[i] for i in Z), beta,
                        w_internal, w_boundary, vol, uncut)
     return side, [trace] + deeper

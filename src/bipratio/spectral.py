@@ -252,7 +252,7 @@ def gaussian_round(V: np.ndarray, b, rng: np.random.Generator,
             side, mass = pos, mass_pos
         else:
             side, mass = neg, mass_neg
-        L = frozenset(int(i) for i in np.nonzero(side)[0])
+        L = frozenset(np.flatnonzero(side).tolist())
         return RoundedCut(values, L, mass, attempt)
     raise RoundFail(f"no acceptable Gaussian sample in {max_attempts} attempts")
 

@@ -428,10 +428,8 @@ def check_flow_decomposition(trials: int = 60, seed: int = 13):
                 return False, "consecutive arcs of a walk do not meet"
             if any(arc_tag[a] is None for a in arcs[1:-1]):
                 return False, "an interior arc of a walk is not a middle arc"
-        M = demand_graph(paths, net)
-        for e, (u, v, w) in enumerate(G.edges):
-            c0, c1 = M.copy_usage(e)
-            if c0 > w * k or c1 > w * k:
+        for (e, _), units in demand_graph(paths, net).usage.items():
+            if units > G.edges[e][2] * k:
                 return False, f"congestion above w*k on edge {e}"
         seen += 1
     return True, f"{seen} saturating decompositions respected all invariants"

@@ -173,3 +173,26 @@ def test_maxcut_depth_guard_counts_top_level_vertices(monkeypatch):
     res = recursive_bipart(G, GameParams(seed=0))
     assert [len(t.L | t.R | t.Z) for t in res.trace] == [8, 6, 4, 2]
     assert res.value == 1 == cut_value(G, res.S)
+
+
+def test_maxcut_level_frees_its_sweep_before_recursing(monkeypatch):
+    # A level keeps only its witness: its sweep result, certificate and round
+    # records included, is unreachable before the next level's sweep starts.
+    import gc
+    import weakref
+
+    import bipratio.maxcut as maxcut
+
+    real = maxcut.approx_bipartiteness
+    sweeps = []
+
+    def tracked(G, params, seed_path):
+        gc.collect()
+        assert [ref() for ref in sweeps] == [None] * len(sweeps)
+        res = real(G, params, seed_path=seed_path)
+        sweeps.append(weakref.ref(res))
+        return res
+
+    monkeypatch.setattr(maxcut, "approx_bipartiteness", tracked)
+    res = recursive_bipart(gnp(12, 0.5, 3, seed=0), GameParams(seed=0))
+    assert len(sweeps) == len(res.trace) == 2
