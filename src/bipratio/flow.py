@@ -149,21 +149,6 @@ class FlowAssignment:
         """Net flow in the stored direction of ``arc`` (negative = reverse)."""
         return self.network.cap0[arc] - self.network.cap[arc]
 
-    def max_conservation_violation(self) -> int:
-        """Largest absolute flow imbalance over non-terminal nodes (audit)."""
-        net = self.network
-        balance = [0] * net.n_nodes
-        for a in range(0, len(net.head), 2):
-            f = self.arc_flow(a)
-            balance[net.tail(a)] -= f
-            balance[net.head[a]] += f
-        worst = 0
-        for node in range(net.n_nodes):
-            if node in (net.source, net.sink):
-                continue
-            worst = max(worst, abs(balance[node]))
-        return worst
-
 
 def _bfs_levels(net: FlowNetwork) -> list[int]:
     """Residual BFS levels up to the first level holding a copy with a
@@ -488,57 +473,65 @@ def decompose_flow(flow: FlowAssignment) -> list[FlowPath]:
 
 
 class DemandMultigraph:
-    """Multiset of vertex pairs recording flow-path endpoints.
+    """Multiset of vertex pairs recording flow-path endpoints: an immutable
+    value on ``n`` vertices.
 
     Self-loops (a path entering the plus copy and leaving the minus copy of
     one vertex) are allowed and count twice toward the degree.  The usage
     ledger maps a middle-edge copy ``(base edge id, copy)`` to the flow units
-    routed through it.  The graph owns the ``pairs`` dict it is given: it is
-    kept, not copied, so a caller hands it over and stops writing to it.
-    The ``usage`` dict is read once into two parallel tuples, its keys and
-    its units in the dict's order, which hold a round's ledger in far less
-    memory than a hash table; ``usage`` returns a fresh dict built from them.
-    Its pair keys may be the very tuples that other demand graphs of its
-    network hold (``FlowNetwork.pair_keys``), as may its ledger keys
-    (``FlowNetwork.arc_tag``); tuples are immutable, so the sharing cannot
-    be observed.
+    routed through it.  Both ledgers are read once, at construction, into two
+    parallel tuples each, keys and units in the given dict's order, which
+    hold a round in far less memory than hash tables; the graph keeps no
+    dict, so a caller may reuse the ones it passed.  ``pairs`` and ``usage``
+    return fresh dicts built from the tuples, and ``pair_items`` walks the
+    pair ledger without building one.  Pair keys must lie in ``range(n)``
+    (ValueError otherwise).  The keys may be the very tuples that other
+    demand graphs of one network hold (``FlowNetwork.pair_keys`` and
+    ``FlowNetwork.arc_tag``); tuples are immutable, so the sharing cannot be
+    observed.
     """
+
+    __slots__ = ("n", "_pair_keys", "_pair_units", "_usage_tags", "_usage_units")
 
     def __init__(self, n: int, pairs: dict[tuple[int, int], int] | None = None,
                  usage: dict[tuple[int, int], int] | None = None):
-        self.n = n
-        self.pairs: dict[tuple[int, int], int] = {} if pairs is None else pairs
+        pairs = pairs or {}
         usage = usage or {}
+        for i, j in pairs:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"demand pair {(i, j)} does not lie in range({n})")
+        self.n = n
+        self._pair_keys: tuple[tuple[int, int], ...] = tuple(pairs)
+        self._pair_units: tuple[int, ...] = tuple(pairs.values())
         self._usage_tags: tuple[tuple[int, int], ...] = tuple(usage)
         self._usage_units: tuple[int, ...] = tuple(usage.values())
-        self._degrees: list[int] | None = None
+
+    @property
+    def pairs(self) -> dict[tuple[int, int], int]:
+        """The pair multiplicities as a new dict, keys in first-entry order."""
+        return dict(self.pair_items())
 
     @property
     def usage(self) -> dict[tuple[int, int], int]:
         """The usage ledger as a new dict, keys in first-traversed order."""
         return dict(zip(self._usage_tags, self._usage_units))
 
+    def pair_items(self) -> Iterator[tuple[tuple[int, int], int]]:
+        """(pair, multiplicity) in first-entry order, read off the tuples."""
+        return zip(self._pair_keys, self._pair_units)
+
     def degrees(self) -> list[int]:
-        """Weighted degree of each vertex, counted on the first call since
-        the pairs no longer change; every call returns the same list."""
-        if self._degrees is None:
-            d = [0] * self.n
-            for (a, b), c in self.pairs.items():
-                d[a] += c
-                d[b] += c
-            self._degrees = d
-        return self._degrees
+        """Weighted degree of each vertex, a new list counted from the pair
+        ledger on every call."""
+        d = [0] * self.n
+        for (a, b), c in self.pair_items():
+            d[a] += c
+            d[b] += c
+        return d
 
     def weighted_edges(self) -> Iterator[tuple[int, int, int]]:
-        for (a, b) in sorted(self.pairs):
-            yield a, b, self.pairs[(a, b)]
-
-    def copy_usage(self, base_edge: int) -> tuple[int, int]:
-        """Units through the two copies of one base edge.  Each call builds
-        the ``usage`` view, O(ledger entries); read ``usage`` once to look
-        up many edges."""
-        usage = self.usage
-        return (usage.get((base_edge, 0), 0), usage.get((base_edge, 1), 0))
+        for (a, b), c in sorted(self.pair_items()):
+            yield a, b, c
 
     @staticmethod
     def union(graphs: Sequence["DemandMultigraph"], n: int) -> "DemandMultigraph":
@@ -549,7 +542,7 @@ class DemandMultigraph:
         for g in graphs:
             if g.n != n:
                 raise ValueError("demand graphs live on different vertex sets")
-            for key, c in g.pairs.items():
+            for key, c in g.pair_items():
                 pairs[key] = pairs.get(key, 0) + c
             for key, c in zip(g._usage_tags, g._usage_units):
                 usage[key] = usage.get(key, 0) + c
@@ -567,7 +560,9 @@ def demand_graph(paths: Sequence[FlowPath], net: FlowNetwork) -> DemandMultigrap
     """Demand graph of a path multiset: one parallel edge {i, j} per path unit
     entering at a copy of i and leaving at a copy of j, plus the per-copy
     usage ledger of every traversed middle edge, all read off ``net``; a
-    pair's key is the tuple ``net.pair_keys`` holds for it."""
+    pair's key is the tuple ``net.pair_keys`` holds for it.  Both ledgers are
+    summed in dicts, in first-entry order, which the graph reads once into
+    its tuples and drops."""
     n = net.n_base
     head, arc_tag, pair_keys = net.head, net.arc_tag, net.pair_keys
     A, B = net.A, net.B

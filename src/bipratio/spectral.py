@@ -81,7 +81,7 @@ def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
     diag = [0.0] * n
     index: list[int] = []
     off: list[float] = []
-    for (i, j), c in M.pairs.items():
+    for (i, j), c in M.pair_items():
         if i == j:
             diag[i] += 4.0 * c * inv_sqrt_sq[i]
         else:

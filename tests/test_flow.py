@@ -24,6 +24,18 @@ from bipratio.oracle import iter_symmetric_pairs
 from bipratio.verify import random_test_graph
 
 
+def _max_conservation_violation(flow):
+    """Largest absolute flow imbalance over the non-terminal nodes."""
+    net = flow.network
+    balance = [0] * net.n_nodes
+    for a in range(0, len(net.head), 2):
+        f = flow.arc_flow(a)
+        balance[net.tail(a)] -= f
+        balance[net.head[a]] += f
+    return max(abs(balance[node]) for node in range(net.n_nodes)
+               if node not in (net.source, net.sink))
+
+
 def _layout(net):
     """Arc ids of a selection network's fixed layout: the selected (positive
     capacity) source arcs and sink arcs, and every middle arc."""
@@ -96,7 +108,7 @@ def test_k3_singleton_saturates_at_k2(k3):
     flow = max_flow(net)
     assert flow.value == 2
     assert is_saturating(flow)
-    assert flow.max_conservation_violation() == 0
+    assert _max_conservation_violation(flow) == 0
 
 
 def test_consistent_cut_single_edge(single_edge):
@@ -291,18 +303,34 @@ def test_per_copy_congestion_bounded():
         flow = max_flow(net)
         if not is_saturating(flow):
             continue
-        M = demand_graph(decompose_flow(flow), net)
+        usage = demand_graph(decompose_flow(flow), net).usage
         for e, (_, _, w) in enumerate(G.edges):
-            c0, c1 = M.copy_usage(e)
-            assert c0 <= w * k and c1 <= w * k
+            assert usage.get((e, 0), 0) <= w * k and usage.get((e, 1), 0) <= w * k
         seen += 1
 
 
-def test_degrees_are_counted_once():
-    # play_round's degree law and demand_matrix's cap read one count.
-    M = DemandMultigraph(3, {(0, 1): 2, (2, 2): 1})
+def test_degrees_follow_the_read_only_pairs():
+    # The graph keeps no dict and no degree list: every read is built anew
+    # from the ledger tuples, so writing into a returned dict changes nothing.
+    given = {(0, 1): 2, (2, 2): 1}
+    M = DemandMultigraph(3, given)
+    given[(0, 0)] = 5
     assert M.degrees() == [2, 2, 2]
-    assert M.degrees() is M.degrees()
+    first, second = M.pairs, M.pairs
+    assert first == second == {(0, 1): 2, (2, 2): 1} and first is not second
+    first[(0, 1)] = 7
+    first[(1, 1)] = 1
+    assert M.pairs == {(0, 1): 2, (2, 2): 1}
+    assert M.degrees() == [2, 2, 2]
+
+
+@pytest.mark.parametrize("pairs", [{(0, -1): 1}, {(0, 3): 1}, {(-1, 2): 1, (0, 1): 1}])
+def test_demand_pairs_outside_the_vertex_range_are_rejected(pairs):
+    # A negative index would wrap to another vertex, and one past the end
+    # would fail later with a bare IndexError.
+    with pytest.raises(ValueError, match=r"range\(3\)"):
+        DemandMultigraph(3, pairs)
+    assert DemandMultigraph(3, {(0, 2): 1, (1, 1): 2}).degrees() == [1, 4, 1]
 
 
 def test_demand_union():

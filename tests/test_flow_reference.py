@@ -423,10 +423,11 @@ def test_demand_matrix_matches_reference_by_hand(pairs):
 
 def test_demand_matrix_matches_reference_random():
     rng = np.random.default_rng(5)
+    nonempty = 0
     for _ in range(200):
         n = int(rng.integers(1, 13))
         b = tuple(int(x) for x in rng.integers(1, 7, size=n))
-        M = DemandMultigraph(n)
+        pairs: dict[tuple[int, int], int] = {}
         budget = [2 * x for x in b]
         for _ in range(int(rng.integers(0, 3 * n + 1))):
             i, j = (int(v) for v in rng.integers(0, n, size=2))
@@ -437,8 +438,11 @@ def test_demand_matrix_matches_reference_random():
             if all(need[v] <= budget[v] for v in range(n)):
                 for v in range(n):
                     budget[v] -= need[v]
-                M.pairs[(i, j)] = M.pairs.get((i, j), 0) + c
+                pairs[(i, j)] = pairs.get((i, j), 0) + c
+        M = DemandMultigraph(n, pairs)
+        nonempty += bool(M.pairs)
         assert demand_matrix(M, b).tobytes() == ref_demand_matrix(M, b).tobytes()
+    assert nonempty >= 150  # the draws compare real graphs, not empty ones
     M = DemandMultigraph(2, {(0, 1): 3})
     with pytest.raises(DegreeOverflowError):
         demand_matrix(M, (1, 2))

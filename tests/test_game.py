@@ -136,14 +136,15 @@ def test_certificate_congestion_per_round(k3):
     out = cut_matching_game(k3, 3, GameParams(seed=2))
     assert isinstance(out, Certificate)
     for rec in out.records:
+        usage = rec.demand.usage
         for e, (_, _, w) in enumerate(k3.edges):
-            c0, c1 = rec.demand.copy_usage(e)
-            assert c0 <= w * out.k and c1 <= w * out.k
+            assert usage.get((e, 0), 0) <= w * out.k
+            assert usage.get((e, 1), 0) <= w * out.k
     # Summed over rounds.
+    usage = out.union.usage
     for e, (_, _, w) in enumerate(k3.edges):
-        c0, c1 = out.union.copy_usage(e)
-        assert c0 <= out.rounds * w * out.k
-        assert c1 <= out.rounds * w * out.k
+        assert usage.get((e, 0), 0) <= out.rounds * w * out.k
+        assert usage.get((e, 1), 0) <= out.rounds * w * out.k
 
 
 def test_sweep_c4_exact_zero(c4):
@@ -330,10 +331,11 @@ def test_certificate_rounds_share_pair_keys():
 
 
 def test_certificate_rounds_are_lean():
-    # A round record keeps its side as a sorted tuple and its usage ledger as
-    # two tuples, so the 81-round certificate holds about 186 kB under
-    # tracemalloc (Python 3.11), where per-round dicts and frozensets took
-    # about 305 kB.
+    # A round record keeps its side as a sorted tuple and its demand graph's
+    # pair and usage ledgers as tuples, with no cached degree list, so the
+    # 81-round certificate holds about 135 kB under tracemalloc (Python 3.11).
+    # With pair dicts and cached degree lists it held about 186 kB, and with
+    # per-round usage dicts and frozensets as well about 305 kB.
     import gc
     import tracemalloc
 
@@ -350,7 +352,7 @@ def test_certificate_rounds_are_lean():
     finally:
         tracemalloc.stop()
     assert cert.rounds == 81
-    assert held <= 250_000
+    assert held <= 160_000
     for rec in cert.records:
         assert type(rec.side) is tuple and list(rec.side) == sorted(set(rec.side))
         first, second = rec.demand.usage, rec.demand.usage
