@@ -87,9 +87,6 @@ class FlowNetwork:
         self.adj[u].append(a)
         self.adj[v].append(a + 1)
 
-    def tail(self, arc: int) -> int:
-        return self.head[arc ^ 1]
-
     def select(self, L: Iterable[int], R: Iterable[int]) -> None:
         """Re-target the network at the disjoint pair (L, R).
 
@@ -144,10 +141,6 @@ class FlowAssignment:
     network: FlowNetwork
     value: int
     source_side: frozenset[int]
-
-    def arc_flow(self, arc: int) -> int:
-        """Net flow in the stored direction of ``arc`` (negative = reverse)."""
-        return self.network.cap0[arc] - self.network.cap[arc]
 
 
 def _bfs_levels(net: FlowNetwork) -> list[int]:
@@ -485,10 +478,10 @@ class DemandMultigraph:
     dict, so a caller may reuse the ones it passed.  ``pairs`` and ``usage``
     return fresh dicts built from the tuples, and ``pair_items`` walks the
     pair ledger without building one.  Pair keys must lie in ``range(n)``
-    (ValueError otherwise).  The keys may be the very tuples that other
-    demand graphs of one network hold (``FlowNetwork.pair_keys`` and
-    ``FlowNetwork.arc_tag``); tuples are immutable, so the sharing cannot be
-    observed.
+    and multiplicities must be integers >= 1 (ValueError otherwise).  The
+    keys may be the very tuples that other demand graphs of one network hold
+    (``FlowNetwork.pair_keys`` and ``FlowNetwork.arc_tag``); tuples are
+    immutable, so the sharing cannot be observed.
     """
 
     __slots__ = ("n", "_pair_keys", "_pair_units", "_usage_tags", "_usage_units")
@@ -497,9 +490,12 @@ class DemandMultigraph:
                  usage: dict[tuple[int, int], int] | None = None):
         pairs = pairs or {}
         usage = usage or {}
-        for i, j in pairs:
+        for (i, j), c in pairs.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"demand pair {(i, j)} does not lie in range({n})")
+            if not (isinstance(c, int) and c >= 1):
+                raise ValueError(f"demand pair {(i, j)} has multiplicity {c!r}, "
+                                 "not an integer >= 1")
         self.n = n
         self._pair_keys: tuple[tuple[int, int], ...] = tuple(pairs)
         self._pair_units: tuple[int, ...] = tuple(pairs.values())

@@ -3,17 +3,19 @@
 One game tests a single ratio guess r = 1/k.  Each round the cut player
 projects Gram vectors of the current multiplicative-weights density matrix
 onto a Gaussian direction and proposes the heavier sign class as a one-sided
-selection (L, empty).  The density matrix and its Gram vectors come
-from one eigendecomposition of the round's state, shared by
-every rounding attempt of that round.  The flow player answers with a
-maximum flow on the selection network: a shortfall yields a sign vector of
-ratio strictly below 1/k (a witness, game over), a saturating flow yields a
-demand graph whose quadratic form feeds the density update.  Surviving all
-T rounds produces a certificate: the union H of the round demand graphs
-embeds into the input with congestion at most 2k per doubled edge per round
-(each edge serves a demand copy and its mirror), so its own ratio - lower
-bounded by half the smallest eigenvalue of the accumulated quadratic forms -
-pushes down to a ratio lower bound of beta(H) / (2 k T) for the input.
+selection (L, empty).  The Gram vectors come from a factor Y of the
+density matrix X = Y Y^T, cached on the round's state: one
+eigendecomposition, shared by every rounding attempt of that round.  X
+itself is formed only in a matched round, to record tr(F X).  The flow
+player answers with a maximum flow on the selection network: a shortfall
+yields a sign vector of ratio strictly below 1/k (a witness, game over), a
+saturating flow yields a demand graph whose quadratic form feeds the density
+update.  Surviving all T rounds produces a certificate: the union H of the
+round demand graphs embeds into the input with congestion at most 2k per
+doubled edge per round (each edge serves a demand copy and its mirror), so
+its own ratio - lower bounded by half the smallest eigenvalue of the
+accumulated quadratic forms - pushes down to a ratio lower bound of
+beta(H) / (2 k T) for the input.
 
 The sweep runs k over powers of two, upward from 1, and stops at the first
 certificate; the witness from the previous level then sits within a factor
@@ -178,8 +180,6 @@ def play_round(net: FlowNetwork, state: MmwuState, rng: np.random.Generator,
     rounding exceeds its attempt budget.
     """
     b = net.aux.base.b
-    # Both read the state's one cached eigendecomposition.
-    X = density_matrix(state)
     V = exact_gram_vectors(state, b)
     rounded = gaussian_round(V, b, rng, max_attempts)
     net.select(rounded.L, frozenset())
@@ -194,7 +194,9 @@ def play_round(net: FlowNetwork, state: MmwuState, rng: np.random.Generator,
             raise AssertionError(
                 f"saturating round violates the demand degree law at vertex {i}")
     F = demand_matrix(M, b)
-    record = RoundRecord(tuple(sorted(rounded.L)), M, float((F * X).sum()))
+    # X shares V's cached factor, and only a matched round's record reads it.
+    X = density_matrix(state)
+    record = RoundRecord(tuple(sorted(rounded.L)), M, float(np.vdot(F, X)))
     return record, state.advance(F)
 
 

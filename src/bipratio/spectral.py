@@ -5,13 +5,13 @@ The cut player maintains a density matrix
     X_t = exp(-delta * sum_{s<t} F_s) / tr(exp(-delta * sum_{s<t} F_s)),
 
 where each F_s is the rescaled quadratic form of a demand graph,
-D_b^{-1/2} (D_M + A_M) D_b^{-1/2}, and delta = ``DELTA``.  The player needs
-Gram vectors of D_b^{-1/2} X_t D_b^{-1/2}, and gets them from one dense symmetric
-eigendecomposition Q diag(lam) Q^T of the accumulated matrix per state
-(cached on the state): with w = exp(-delta * lam), X_t = Q diag(w / sum w) Q^T,
-and D_b^{-1/2} Q diag(sqrt(w / sum w)) is already a Gram factor, so no second
-solve is needed.  A Gaussian projection of the Gram vectors then yields the
-one-dimensional values that pick the next selection.
+D_b^{-1/2} (D_M + A_M) D_b^{-1/2}, and delta = ``DELTA``.  Each state caches
+one factor Y = Q diag(sqrt(w / sum w)) of X_t, from one dense symmetric
+eigendecomposition Q diag(lam) Q^T of the accumulated matrix with
+w = exp(-delta * lam).  Then X_t = Y Y^T, and V = D_b^{-1/2} Y holds Gram
+vectors of D_b^{-1/2} X_t D_b^{-1/2}, so no second solve is needed.  A
+Gaussian projection of the Gram vectors then yields the one-dimensional
+values that pick the next selection.
 
 The module also keeps a sketched construction as a standalone component
 that the game does not use: a random sign projection and a truncated Taylor
@@ -101,20 +101,22 @@ def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
 class MmwuState:
     """Accumulated loss matrix of the multiplicative-weights iteration.
 
-    ``weights`` comes from the eigendecomposition (lam, Q) of the symmetrised
-    accumulated matrix, computed on first use and then kept, so the density
-    matrix and its Gram factor share one solve per state.
+    ``factor`` is computed on first use and then kept, so the density matrix
+    and the Gram vectors share one eigendecomposition per state.
     """
 
     accumulated: np.ndarray
 
     @cached_property
-    def weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """exp(-DELTA * lam), shifted so its largest entry is 1, and Q.
-        Normalizing by the sum cancels the shift."""
+    def factor(self) -> np.ndarray:
+        """Y = Q diag(sqrt(w / sum w)) with X = Y Y^T, from the eigenpairs
+        (lam, Q) of the symmetrised accumulated matrix and
+        w = exp(-DELTA * lam), shifted so its largest entry is 1; the
+        normalization cancels the shift."""
         lam, Q = _eigh(self.accumulated)
         y = -DELTA * lam
-        return np.exp(y - y.max()), Q
+        w = np.exp(y - y.max())
+        return Q * np.sqrt(w / w.sum())
 
     @staticmethod
     def initial(n: int) -> "MmwuState":
@@ -133,34 +135,24 @@ def sym_expm(A: np.ndarray) -> np.ndarray:
 def density_matrix(state: MmwuState) -> np.ndarray:
     """Trace-one PSD iterate exp(-delta * accumulated), normalized.
 
-    The empty state gives I/n.  Reads the state's cached eigendecomposition.
+    The empty state gives I/n.  Forms Y Y^T from the state's cached factor;
+    numpy computes that product as a symmetric rank update, so the result is
+    exactly symmetric.
     """
-    w, Q = state.weights
-    X = (Q * w) @ Q.T / w.sum()
-    return (X + X.T) / 2.0
+    Y = state.factor
+    return Y @ Y.T
 
 
-def exact_gram_vectors(X: np.ndarray | MmwuState, b) -> np.ndarray:
-    """Gram vectors of D_b^{-1/2} X D_b^{-1/2}: an n x n array V whose rows
-    v_i satisfy <v_i, v_j> = (D_b^{-1/2} X D_b^{-1/2})_ij to eigensolver
-    accuracy.
-
-    Given a matrix X, factors it by its own eigendecomposition.  Given an
-    MmwuState, X is that state's density matrix, and V is
-    D_b^{-1/2} Q diag(sqrt(w / sum w)), read straight from the state's
-    cached eigendecomposition, with no further solve.  Raises ValueError
-    unless b holds one weight per row of X.
+def exact_gram_vectors(state: MmwuState, b) -> np.ndarray:
+    """Gram vectors of D_b^{-1/2} X D_b^{-1/2} for the state's density
+    matrix X: the n x n array V = D_b^{-1/2} Y, whose rows v_i satisfy
+    <v_i, v_j> = (D_b^{-1/2} X D_b^{-1/2})_ij to eigensolver accuracy, read
+    from the state's cached factor with no further solve.  Raises ValueError
+    unless b holds one weight per vertex.
     """
-    is_state = isinstance(X, MmwuState)
-    n = X.accumulated.shape[0] if is_state else X.shape[0]
-    scale = 1.0 / np.sqrt(_vertex_weights(b, n, float))
-    if is_state:
-        w, Q = X.weights
-        return Q * np.sqrt(w / w.sum()) * scale[:, None]
-    Y = X * scale[:, None] * scale[None, :]
-    lam, Q = _eigh(Y)
-    lam = np.clip(lam, 0.0, None)
-    return Q * np.sqrt(lam)[None, :]
+    Y = state.factor
+    scale = 1.0 / np.sqrt(_vertex_weights(b, Y.shape[0], float))
+    return Y * scale[:, None]
 
 
 def taylor_apply_exp_half(A: np.ndarray, U: np.ndarray, order: int) -> np.ndarray:

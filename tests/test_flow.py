@@ -24,13 +24,22 @@ from bipratio.oracle import iter_symmetric_pairs
 from bipratio.verify import random_test_graph
 
 
+def _tail(net, arc):
+    return net.head[arc ^ 1]
+
+
+def _arc_flow(flow, arc):
+    """Net flow in the stored direction of ``arc`` (negative = reverse)."""
+    return flow.network.cap0[arc] - flow.network.cap[arc]
+
+
 def _max_conservation_violation(flow):
     """Largest absolute flow imbalance over the non-terminal nodes."""
     net = flow.network
     balance = [0] * net.n_nodes
     for a in range(0, len(net.head), 2):
-        f = flow.arc_flow(a)
-        balance[net.tail(a)] -= f
+        f = _arc_flow(flow, a)
+        balance[_tail(net, a)] -= f
         balance[net.head[a]] += f
     return max(abs(balance[node]) for node in range(net.n_nodes)
                if node not in (net.source, net.sink))
@@ -273,12 +282,12 @@ def test_demand_graph_rejects_malformed(k3):
     demand_graph([FlowPath(walk, 1)], net)
     # A walk entering at 2+, which is not a source-side copy here.
     wrong_entry = (4,) + walk[1:]
-    assert net.head[4] == 2 and net.tail(4) == net.source
+    assert net.head[4] == 2 and _tail(net, 4) == net.source
     # Walks of one or two arcs whose ends pass the endpoint test: the middle
     # arc from 1- to 0+, and the arcs into 0+ from the source and out of 0-
     # to the sink.
     back = next(a for a in middle_arcs + [a ^ 1 for a in middle_arcs]
-                if net.head[a] == 0 and net.tail(a) == 4)
+                if net.head[a] == 0 and _tail(net, a) == 4)
     # A three-arc walk whose interior is a terminal arc: into 0+ from the
     # source, then out of 0- and out of 1- to the sink.
     terminal_inside = (source_arcs[0], sink_arcs[0], sink_arcs[1])
@@ -331,6 +340,14 @@ def test_demand_pairs_outside_the_vertex_range_are_rejected(pairs):
     with pytest.raises(ValueError, match=r"range\(3\)"):
         DemandMultigraph(3, pairs)
     assert DemandMultigraph(3, {(0, 2): 1, (1, 1): 2}).degrees() == [1, 4, 1]
+
+
+@pytest.mark.parametrize("units", [-3, 0, 1.5])
+def test_demand_multiplicities_must_be_positive_integers(units):
+    # A negative count gave negative degrees and a negative brute-force
+    # ratio; a fractional one was ignored by the brute-force ratio.
+    with pytest.raises(ValueError, match="not an integer >= 1"):
+        DemandMultigraph(3, {(0, 2): 1, (0, 1): units})
 
 
 def test_demand_union():
@@ -404,26 +421,26 @@ def _check_paths_against_arc_flows(net, flow, paths):
         assert type(arcs) is tuple and len(arcs) >= 3
         assert arcs[0] in source_arcs and arcs[-1] in sink_arcs
         assert all(net.arc_tag[a] is not None for a in arcs[1:-1])
-        assert all(net.head[a] == net.tail(b) for a, b in zip(arcs, arcs[1:]))
+        assert all(net.head[a] == _tail(net, b) for a, b in zip(arcs, arcs[1:]))
     routed = [0] * len(net.head)
     for p, arcs in zip(paths, walks):
         for a in arcs:
             routed[a] += p.units
     balance = [0] * net.n_nodes
     for a in range(0, len(net.head), 2):
-        f = flow.arc_flow(a)
+        f = _arc_flow(flow, a)
         r = routed[a] - routed[a + 1]
         if net.arc_tag[a] is None:
             assert r == f
             continue
         assert not (routed[a] and routed[a + 1])
         assert 0 <= r * (1 if f >= 0 else -1) <= abs(f)
-        balance[net.tail(a)] -= f - r
+        balance[_tail(net, a)] -= f - r
         balance[net.head[a]] += f - r
     assert not any(balance)
     for p, arcs in zip(paths, walks):
         for a in arcs:
-            assert a == min(x for x in net.adj[net.tail(a)] if routed[x] > 0)
+            assert a == min(x for x in net.adj[_tail(net, a)] if routed[x] > 0)
         for a in arcs:
             routed[a] -= p.units
 

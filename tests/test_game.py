@@ -258,27 +258,37 @@ def test_flow_solves_count_the_max_flow_calls(monkeypatch):
 
 def test_one_eigensolve_per_round(monkeypatch):
     # The density matrix and the Gram vectors share the state's solve, and a
-    # round retried after a rounding failure reuses it too.
+    # round retried after a rounding failure reuses it too.  The density
+    # matrix is formed only in matched rounds: not in the round a witness
+    # ends, nor in a round that rounding fails.
     import bipratio.game as game
     import bipratio.spectral as spectral
     from bipratio.generators import gnp
 
-    solves, roundings = [], []
-    real_eigh, real_round = spectral._eigh, game.gaussian_round
+    solves, roundings, densities = [], [], []
+    real_eigh, real_round, real_density = (spectral._eigh, game.gaussian_round,
+                                           game.density_matrix)
     monkeypatch.setattr(spectral, "_eigh",
                         lambda A: solves.append(1) or real_eigh(A))
     monkeypatch.setattr(game, "gaussian_round",
                         lambda *a: roundings.append(1) or real_round(*a))
+    monkeypatch.setattr(game, "density_matrix",
+                        lambda s: densities.append(1) or real_density(s))
     monkeypatch.setattr(game, "RESTARTS", 10**6)
     G = gnp(12, 0.5, 3, seed=4)
     params = GameParams(seed=3, max_attempts=1)
+    witnesses = 0
     for k in (1, 2, 64):
         solves.clear()
         roundings.clear()
+        densities.clear()
         out = cut_matching_game(G, k, params)
         played = out.flow_solves  # one state per solved selection
         assert len(solves) == played
         assert len(roundings) >= played
+        assert len(densities) == len(out.records)
+        witnesses += isinstance(out, Witness)
+    assert witnesses  # a witness round formed no density matrix
     assert isinstance(out, Certificate) and len(roundings) > played
 
 

@@ -15,7 +15,7 @@ from bipratio import (
     gaussian_round,
     taylor_apply_exp_half,
 )
-from bipratio.spectral import jl_sign_matrix, lambda_max, lambda_min, sym_expm
+from bipratio.spectral import DELTA, jl_sign_matrix, lambda_max, lambda_min, sym_expm
 
 
 def test_demand_matrix_self_loop():
@@ -92,29 +92,23 @@ def test_density_trace_and_psd_random():
         n = int(rng.integers(2, 10))
         B = rng.standard_normal((n, n))
         X = density_matrix(MmwuState(B @ B.T))
+        assert np.array_equal(X, X.T)  # Y @ Y.T is exactly symmetric
         assert abs(X.trace() - 1.0) <= 1e-9
         assert lambda_min(X) >= -1e-10
 
 
 def test_exact_gram_uniform():
-    g = exact_gram_vectors(np.eye(4) / 4, (1, 1, 1, 1))
+    g = exact_gram_vectors(MmwuState.initial(4), (1, 1, 1, 1))
     norms = (g**2).sum(axis=1)
     assert np.allclose(norms, 0.25)
     assert g.shape == (4, 4)
 
 
 def test_exact_gram_degree_weights_k3():
-    g = exact_gram_vectors(np.eye(3) / 3, (2, 2, 2))
+    g = exact_gram_vectors(MmwuState.initial(3), (2, 2, 2))
     norms = (g**2).sum(axis=1)
     assert np.allclose(norms, 1.0 / 6.0)
     assert sum(2 * x for x in norms) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_exact_gram_rank_one():
-    u = np.array([0.6, 0.8])
-    g = exact_gram_vectors(np.outer(u, u), (1, 1))
-    G = g @ g.T
-    assert np.allclose(G, np.outer(u, u), atol=1e-10)
 
 
 def test_exact_gram_weighted_sum_is_one():
@@ -122,9 +116,8 @@ def test_exact_gram_weighted_sum_is_one():
     for _ in range(10):
         n = int(rng.integers(2, 9))
         B = rng.standard_normal((n, n))
-        X = density_matrix(MmwuState(B @ B.T))
         b = rng.integers(1, 5, size=n)
-        g = exact_gram_vectors(X, b)
+        g = exact_gram_vectors(MmwuState(B @ B.T), b)
         total = float((b * (g**2).sum(axis=1)).sum())
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -231,9 +224,10 @@ def test_inner_product_identity():
     rng = np.random.default_rng(13)
     n = 6
     B = rng.standard_normal((n, n))
-    X = density_matrix(MmwuState(B @ B.T))
+    state = MmwuState(B @ B.T)
+    X = density_matrix(state)
     b = rng.integers(1, 4, size=n)
-    g = exact_gram_vectors(X, b)
+    g = exact_gram_vectors(state, b)
     pairs = {(0, 1): 2, (2, 2): 1, (3, 5): 1}
     M = DemandMultigraph(n, pairs)
     F = demand_matrix(M, b)
@@ -251,20 +245,20 @@ def _random_state(rng, n):
 
 
 def test_state_gram_factor_matches_matrix_route():
+    # Both readings of the cached factor against exp(-DELTA * A) / trace,
+    # formed by its own eigendecomposition.
     rng = np.random.default_rng(41)
     for _ in range(20):
         n = int(rng.integers(1, 12))
         state = _random_state(rng, n)
         b = rng.integers(1, 6, size=n)
         scale = 1.0 / np.sqrt(b)
-        X = density_matrix(state)
-        from_state = exact_gram_vectors(state, b)
-        from_matrix = exact_gram_vectors(X, b)
-        assert from_state.shape == (n, n)
-        gram = from_state @ from_state.T
-        assert np.allclose(gram, X * scale[:, None] * scale[None, :],
-                           rtol=0.0, atol=1e-10)
-        assert np.allclose(gram, from_matrix @ from_matrix.T,
+        E = sym_expm(-DELTA * state.accumulated)
+        X = E / E.trace()
+        assert np.allclose(density_matrix(state), X, rtol=0.0, atol=1e-10)
+        V = exact_gram_vectors(state, b)
+        assert V.shape == (n, n)
+        assert np.allclose(V @ V.T, X * scale[:, None] * scale[None, :],
                            rtol=0.0, atol=1e-10)
 
 
@@ -276,11 +270,11 @@ def test_state_solves_once(monkeypatch):
     monkeypatch.setattr(spectral, "_eigh", lambda A: calls.append(1) or real(A))
     state = _random_state(np.random.default_rng(2), 6)
     X = density_matrix(state)
-    weights = state.weights
+    factor = state.factor
     exact_gram_vectors(state, np.ones(6))
     assert np.array_equal(density_matrix(state), X)
     assert len(calls) == 1
-    assert state.weights is weights  # exp(-DELTA * lam) is formed once too
+    assert state.factor is factor  # the factor is formed once too
     density_matrix(state.advance(np.eye(6)))
     assert len(calls) == 2
 
@@ -296,8 +290,6 @@ def test_exact_gram_rejects_wrong_weight_count(b):
     # One weight per vertex: a short b must not broadcast over the rows.
     with pytest.raises(ValueError, match="need 3 vertex weights"):
         exact_gram_vectors(MmwuState.initial(3), b)
-    with pytest.raises(ValueError, match="need 3 vertex weights"):
-        exact_gram_vectors(np.eye(3) / 3, b)
 
 
 def test_approx_gram_rejects_wrong_weight_count():

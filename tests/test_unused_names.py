@@ -4,7 +4,8 @@ Every import must be read somewhere in its module (``__init__.py`` re-exports
 its imports, and a line marked ``# noqa: F401`` is exempt), and every private
 module-level name must be read by some statement of the package other than the
 one that defines it.  Every field of a dataclass or ``NamedTuple`` of the
-package must be read as an attribute somewhere in the repository's code.
+package must be read as an attribute somewhere in the repository's code, and every
+method or property of a package class somewhere outside the tests.
 Stdlib ``ast`` only, so it runs wherever the tests run.
 """
 
@@ -133,3 +134,39 @@ def test_settable_values_are_counted():
                 names += [f"{module}: {node.name}.{stmt.target.id}" for stmt in node.body
                           if isinstance(stmt, ast.AnnAssign) and stmt.value is not None]
     assert len(names) == SETTABLE_VALUES, "\n".join(names)
+
+
+# Methods the package offers its users without calling them itself.
+PUBLIC_API = {
+    # The docstrings and the README tell callers to pass other vertex
+    # weights to a game or a sweep as ``G.with_b(b)``.
+    ("graph.py", "WeightedGraph", "with_b"),
+}
+
+
+def test_every_method_is_read():
+    """Every method or property of a package class is read as an attribute
+    in ``src/``, ``demos/`` or ``perfbench/``, outside its own definition;
+    tests alone do not keep one in the library."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for folder in ("src", "demos", "perfbench")
+             for path in (ROOT / folder).rglob("*.py")}
+    reads = [sub for tree in trees.values() for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute)]
+    unread = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if (not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or method.name.startswith("__")
+                        or (path.name, cls.name, method.name) in PUBLIC_API):
+                    continue
+                inside = {id(sub) for sub in ast.walk(method)}
+                if not any(sub.attr == method.name and id(sub) not in inside
+                           for sub in reads):
+                    unread.append(f"{path.name}: {cls.name}.{method.name}")
+    assert unread == []
