@@ -7,14 +7,16 @@ randomized command writes byte-identical stdout; wall-clock timings are
 therefore only filled in under ``--timings``.
 
 Exit codes: 0 success, 1 stdout closed by its reader (as in ``| head``),
-2 input error (including a path that cannot be opened or a seed that is not
-a non-negative integer), 3 solver failure (an internal error or a failed
-internal audit), 4 verification failure.
+2 input error (including a path that cannot be opened, a seed that is not
+a non-negative integer, or a vertex weight above 2**1000 in the spectral
+layer), 3 solver failure (an internal error, an eigensolve that does not
+converge, or a failed internal audit), 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import inspect
 import json
 import os
@@ -37,7 +39,7 @@ from .errors import (
 from .game import RESTARTS, GameParams, approx_bipartiteness
 from .generators import complete, cycle, gnp, planted_bipartite
 from .graph import WeightedGraph, tripartition
-from .graphio import dumps_graph, load_graph
+from .graphio import dump_graph, dumps_graph, load_graph
 from .maxcut import recursive_bipart
 from .oracle import brute_beta, brute_maxcut, brute_well_linked
 from .spectral import DELTA
@@ -60,17 +62,36 @@ SOLVER_FAILURES = (GameFailed, NumericalFailure, DegreeOverflowError,
                    AssertionError)
 
 
+def _decimal(fr: Fraction) -> str:
+    """``fr`` to 9 significant digits: the float's ``.9g`` where that float
+    is 0 or normal, else the exact value rounded (a subnormal float holds
+    fewer digits than that, and an overflow none)."""
+    try:
+        if abs(value := float(fr)) >= sys.float_info.min or not fr:
+            return f"{value:.9g}"
+    except OverflowError:
+        pass
+    with decimal.localcontext() as ctx:
+        ctx.prec = 9
+        return f"{(decimal.Decimal(fr.numerator) / fr.denominator).normalize():.9g}"
+
+
 def fmt_ratio(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator} ({float(fr):.9g})"
+    return f"{fr.numerator}/{fr.denominator} ({_decimal(fr)})"
 
 
 def ratio_json(fr: Fraction | None) -> dict | None:
     return None if fr is None else {"num": fr.numerator, "den": fr.denominator,
-                                    "decimal": f"{float(fr):.9g}"}
+                                    "decimal": _decimal(fr)}
 
 
-def fmt_signs(x) -> str:
-    return "".join("+" if v > 0 else "-" if v < 0 else "0" for v in x)
+def _sign_report(label: str, x) -> tuple[dict, list[str]]:
+    """The ``x``, ``L`` and ``R`` JSON fields of sign vector x, and its two
+    text lines: the signs after ``label``, then the 1-based L, R and Z."""
+    L, R, Z = (_sets_1based(side) for side in tripartition(x))
+    signs = "".join("+" if v > 0 else "-" if v < 0 else "0" for v in x)
+    return ({"x": list(x), "L": L, "R": R},
+            [f"{label} x = {signs}", f"L = {L}  R = {R}  Z = {Z}"])
 
 
 def _checked_seed(value, origin: str) -> int:
@@ -89,10 +110,6 @@ def _seed_from(args) -> int:
     if args.seed is not None:
         return _checked_seed(args.seed, "--seed")
     return _checked_seed(os.environ.get("BIPRATIO_SEED") or 0, "BIPRATIO_SEED")
-
-
-def _load(args) -> WeightedGraph:
-    return load_graph(args.graph, getattr(args, "weights", None))
 
 
 def _sets_1based(vertices) -> list[int]:
@@ -120,37 +137,38 @@ def _emit(text: str) -> None:
         data = data[raw.write(data):]
 
 
-def _report(args, graph: WeightedGraph, mode: str, params: dict, result: dict,
-            timings: dict, seed: int, text_lines: list[str]) -> None:
+def run_solver(args) -> int:
+    """The path of ``approx``, ``exact`` and ``maxcut``: read the seed first,
+    so a bad one is refused before anything else, load the graph, run
+    ``args.solve`` on it under the timer, and write its report."""
+    seed = _seed_from(args)
+    G = load_graph(args.graph, args.weights)
+    t0 = time.perf_counter()
+    mode, params, result, lines = args.solve(args, G, seed)
+    elapsed = (time.perf_counter() - t0) * 1000.0
     if args.json:
         report = {
-            "graph": {"n": graph.n, "m": graph.m,
-                      "total_weight": graph.total_weight},
+            "graph": {"n": G.n, "m": G.m, "total_weight": G.total_weight},
             "mode": mode,
             "params": params,
             "result": result,
-            "timings_ms": timings,
+            "timings_ms": {"total": round(elapsed, 3)} if args.timings else {},
             "seed": seed,
             "version": __version__,
         }
         _emit(json.dumps(report, indent=2) + "\n")
     else:
-        _emit("".join(line + "\n" for line in text_lines))
+        _emit("".join(line + "\n" for line in lines))
+    return 0
 
 
-def cmd_approx(args) -> int:
-    seed = _seed_from(args)
-    G = _load(args)
+def solve_approx(args, G: WeightedGraph, seed: int) -> tuple[str, dict, dict, list[str]]:
     params = GameParams(seed=seed, rounds=args.rounds, max_attempts=args.t_proj)
-    t0 = time.perf_counter()
     res = approx_bipartiteness(G, params)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    L, R, Z = tripartition(res.x_best)
+    fields, sign_lines = _sign_report("witness", res.x_best)
     rounds_total = sum(g.rounds for g in res.games)
     result = {
-        "x": list(res.x_best),
-        "L": _sets_1based(L),
-        "R": _sets_1based(R),
+        **fields,
         "beta": ratio_json(res.beta),
         "r_cert": ratio_json(res.r_cert),
         "certificate": None,
@@ -170,8 +188,7 @@ def cmd_approx(args) -> int:
             "ratio_lower_bound": f"{cert.ratio_lower_bound():.9g}",
         }
     lines = [
-        f"witness x = {fmt_signs(res.x_best)}",
-        f"L = {_sets_1based(L)}  R = {_sets_1based(R)}  Z = {_sets_1based(Z)}",
+        *sign_lines,
         f"beta = {fmt_ratio(res.beta)}",
         f"r_cert = {fmt_ratio(res.r_cert) if res.r_cert is not None else 'none'}",
         f"rounds used = {rounds_total}",
@@ -182,9 +199,7 @@ def cmd_approx(args) -> int:
             beta_txt = fmt_ratio(g.beta) if g.beta is not None else "-"
             lines.append(f"  k={g.k}: {g.outcome} after {g.rounds} rounds, "
                          f"beta {beta_txt}")
-    timings = {"total": round(elapsed, 3)} if args.timings else {}
-    _report(args, G, "approx", _params_json(params), result, timings, seed, lines)
-    return 0
+    return "approx", _params_json(params), result, lines
 
 
 def _params_json(params: GameParams) -> dict:
@@ -192,18 +207,12 @@ def _params_json(params: GameParams) -> dict:
             "max_attempts": params.max_attempts, "restarts": RESTARTS}
 
 
-def cmd_exact(args) -> int:
-    seed = _seed_from(args)
-    G = _load(args)
-    t0 = time.perf_counter()
+def solve_exact(args, G: WeightedGraph, seed: int) -> tuple[str, dict, dict, list[str]]:
     if args.what == "beta":
         beta, x = brute_beta(G)
-        L, R, Z = tripartition(x)
-        result = {"beta": ratio_json(beta), "x": list(x),
-                  "L": _sets_1based(L), "R": _sets_1based(R)}
-        lines = [f"beta = {fmt_ratio(beta)}",
-                 f"minimizer x = {fmt_signs(x)}",
-                 f"L = {_sets_1based(L)}  R = {_sets_1based(R)}  Z = {_sets_1based(Z)}"]
+        fields, sign_lines = _sign_report("minimizer", x)
+        result = {"beta": ratio_json(beta), **fields}
+        lines = [f"beta = {fmt_ratio(beta)}", *sign_lines]
     elif args.what == "maxcut":
         value, S = brute_maxcut(G)
         result = {"value": ratio_json(value), "S": _sets_1based(S)}
@@ -218,19 +227,12 @@ def cmd_exact(args) -> int:
         if pair is not None:
             lines.append(f"violating pair L = {_sets_1based(pair[0])} "
                          f"R = {_sets_1based(pair[1])}")
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    timings = {"total": round(elapsed, 3)} if args.timings else {}
-    _report(args, G, f"exact-{args.what}", {}, result, timings, seed, lines)
-    return 0
+    return f"exact-{args.what}", {}, result, lines
 
 
-def cmd_maxcut(args) -> int:
-    seed = _seed_from(args)
-    G = _load(args)
+def solve_maxcut(args, G: WeightedGraph, seed: int) -> tuple[str, dict, dict, list[str]]:
     params = GameParams(seed=seed)
-    t0 = time.perf_counter()
     res = recursive_bipart(G, params)
-    elapsed = (time.perf_counter() - t0) * 1000.0
     result = {
         "value": ratio_json(res.value),
         "S": _sets_1based(res.S),
@@ -250,9 +252,7 @@ def cmd_maxcut(args) -> int:
         lines.append(f"brute-force optimum = {fmt_ratio(opt)}")
         if res.value > opt:
             raise AssertionError("returned cut beats the brute-force optimum")
-    timings = {"total": round(elapsed, 3)} if args.timings else {}
-    _report(args, G, "maxcut", _params_json(params), result, timings, seed, lines)
-    return 0
+    return "maxcut", _params_json(params), result, lines
 
 
 def cmd_gen(args) -> int:
@@ -266,10 +266,8 @@ def cmd_gen(args) -> int:
         G = cycle(args.n)
     else:
         G = complete(args.n)
-    text = dumps_graph(G)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        dump_graph(G, args.out)
         print(f"wrote {args.out} (n={G.n}, m={G.m})")
         if meta is not None:
             sidecar = args.out + ".meta.json"
@@ -278,7 +276,7 @@ def cmd_gen(args) -> int:
                 fh.write("\n")
             print(f"wrote {sidecar}")
     else:
-        _emit(text)
+        _emit(dumps_graph(G))
     return 0
 
 
@@ -324,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, solve):
+        sp.set_defaults(func=run_solver, solve=solve)
         sp.add_argument("--graph", required=True, help="edge-list file")
         sp.add_argument("--weights", help="optional vertex-weight file")
         sp.add_argument("--seed", type=int, default=None,
@@ -334,26 +333,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fill timings_ms (breaks byte determinism)")
 
     sp = sub.add_parser("approx", help="ratio sweep (witness + certificate)")
-    add_common(sp)
+    add_common(sp, solve_approx)
     sp.add_argument("-v", "--verbose", action="store_true",
                     help="one line per game of the sweep")
     sp.add_argument("--rounds", type=int, default=None, help="round cap per game")
     sp.add_argument("--t-proj", type=int, default=None,
                     help="Gaussian attempts per round")
-    sp.set_defaults(func=cmd_approx)
 
     sp = sub.add_parser("exact", help="brute-force oracles")
-    add_common(sp)
+    add_common(sp, solve_exact)
     sp.add_argument("--what", choices=["beta", "maxcut", "well-linked"],
                     default="beta")
     sp.add_argument("--k", type=int, default=1, help="for --what well-linked")
-    sp.set_defaults(func=cmd_exact)
 
     sp = sub.add_parser("maxcut", help="recursive bipartitioning max cut")
-    add_common(sp)
+    add_common(sp, solve_maxcut)
     sp.add_argument("--exact", action="store_true",
                     help="cross-check against the brute-force optimum (n <= 20)")
-    sp.set_defaults(func=cmd_maxcut)
 
     sp = sub.add_parser("gen", help="seeded graph generators")
     sp.add_argument("--out", help="output file (default: stdout)")

@@ -319,6 +319,9 @@ def approx_bipartiteness(G: WeightedGraph, params: GameParams | None = None,
             break
         if best_beta is None or outcome.beta < best_beta:
             best_x, best_beta = outcome.x, outcome.beta
+        # Past its summary a witness's round records are dead weight: free
+        # them before the next, larger game runs.
+        del outcome
         if best_beta == 0:
             break
     if best_x is None:

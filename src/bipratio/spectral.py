@@ -38,22 +38,39 @@ from .flow import DemandMultigraph
 DELTA = 0.125
 SKETCH_EPS = 0.25  # relative accuracy of the sketched Gram vectors
 
+# Largest vertex weight the spectral layer takes.  Floats end at 2**1024: 2 b
+# overflows from b = 2**1023, and the certificate bound beta(H) / (2 k T),
+# whose k can grow to a few times sum(b), from about 2**1021 on a triangle.
+# The margin keeps 2 k T in range on graphs of up to a few thousand vertices.
+MAX_VERTEX_WEIGHT = 2**1000
 
-def _eigh(A: np.ndarray):
+
+def _symmetric_solve(solver, A: np.ndarray):
+    """``solver`` (``np.linalg.eigh`` or ``eigvalsh``) on the symmetric part
+    of A; a solver that does not converge raises NumericalFailure."""
     try:
-        return np.linalg.eigh((A + A.T) / 2.0)
+        return solver((A + A.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
 
 
+def _eigh(A: np.ndarray):
+    return _symmetric_solve(np.linalg.eigh, A)
+
+
 def _vertex_weights(b, n: int, dtype) -> np.ndarray:
     """``b`` as an array (of ``dtype``; None keeps b's own) holding one
-    weight per vertex; ValueError otherwise, so a short ``b`` is never
-    broadcast over the rows."""
-    b = np.asarray(b, dtype=dtype)
-    if b.shape != (n,):
-        raise ValueError(f"need {n} vertex weights, got shape {b.shape}")
-    return b
+    weight per vertex, each at most ``MAX_VERTEX_WEIGHT``; ValueError
+    otherwise, so a short ``b`` is never broadcast over the rows and no
+    weight overflows a float downstream."""
+    array = np.asarray(b)
+    if array.shape != (n,):
+        raise ValueError(f"need {n} vertex weights, got shape {array.shape}")
+    if max(b, default=0) > MAX_VERTEX_WEIGHT:
+        i = next(i for i, bi in enumerate(b) if bi > MAX_VERTEX_WEIGHT)
+        raise ValueError(f"vertex {i} has weight above 2**1000, beyond the float "
+                         "range the spectral layer computes in")
+    return array if dtype is None else array.astype(dtype)
 
 
 def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
@@ -148,7 +165,7 @@ def exact_gram_vectors(state: MmwuState, b) -> np.ndarray:
     matrix X: the n x n array V = D_b^{-1/2} Y, whose rows v_i satisfy
     <v_i, v_j> = (D_b^{-1/2} X D_b^{-1/2})_ij to eigensolver accuracy, read
     from the state's cached factor with no further solve.  Raises ValueError
-    unless b holds one weight per vertex.
+    unless b holds one weight per vertex, none above ``MAX_VERTEX_WEIGHT``.
     """
     Y = state.factor
     scale = 1.0 / np.sqrt(_vertex_weights(b, Y.shape[0], float))
@@ -190,7 +207,7 @@ def approx_gram_vectors(accumulated: np.ndarray, b,
     pairwise-sum norm matches the exact Gram vectors within (1 +- eps) plus
     tau, for eps = ``SKETCH_EPS`` and tau = min(1/(12 n^1.5), 1e-9).
     Raises ValueError on an empty matrix or unless b holds one weight per
-    vertex.
+    vertex, none above ``MAX_VERTEX_WEIGHT``.
     """
     n = accumulated.shape[0]
     if n == 0:
@@ -227,7 +244,7 @@ def gaussian_round(V: np.ndarray, b, rng: np.random.Generator,
     probability at most e^{-1/16}).  The side with the larger mass becomes
     L, ties keeping the positive side.  Raises RoundFail after
     ``max_attempts`` rejections, and ValueError, before any draw, unless b
-    holds one weight per row of V.
+    holds one weight per row of V, none above ``MAX_VERTEX_WEIGHT``.
     """
     b = _vertex_weights(b, V.shape[0], float)
     for attempt in range(1, max_attempts + 1):
@@ -251,9 +268,9 @@ def gaussian_round(V: np.ndarray, b, rng: np.random.Generator,
 
 def lambda_min(A: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh((A + A.T) / 2.0)[0])
+    return float(_symmetric_solve(np.linalg.eigvalsh, A)[0])
 
 
 def lambda_max(A: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh((A + A.T) / 2.0)[-1])
+    return float(_symmetric_solve(np.linalg.eigvalsh, A)[-1])

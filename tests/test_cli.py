@@ -23,7 +23,7 @@ from bipratio.errors import (
     RoundFail,
     SaturatingFlowError,
 )
-from bipratio.generators import complete, cycle
+from bipratio.generators import complete, cycle, planted_bipartite
 from bipratio.graphio import dump_graph
 from bipratio.verify import SMALLEST_N
 
@@ -46,6 +46,29 @@ def run_cli(args):
     proc = subprocess.run([sys.executable, "-m", "bipratio", *args],
                           capture_output=True, text=True)
     return proc
+
+
+# Full stdout of seeded runs, line by line, keyed by the arguments; the
+# files they name are written by ``pinned_files``.
+PINNED_STDOUT = json.loads(Path(__file__).with_name("cli_stdout.json").read_text("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def pinned_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("pinned")
+    dump_graph(complete(3), str(folder / "k3.txt"))
+    dump_graph(cycle(4), str(folder / "c4.txt"))
+    dump_graph(planted_bipartite(12, 0.4, 0.1, seed=5)[0], str(folder / "pb12.txt"))
+    (folder / "b3.txt").write_text("1\n2\n3\n")
+    return folder
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_STDOUT))
+def test_stdout_is_pinned(args, pinned_files, capsys, monkeypatch):
+    monkeypatch.chdir(pinned_files)
+    assert main(args.split()) == 0
+    assert capsys.readouterr().out.splitlines(keepends=True) == [
+        line + "\n" for line in PINNED_STDOUT[args]]
 
 
 def test_approx_k3_matches_oracle(k3_file, capsys):
@@ -290,6 +313,63 @@ def test_eigensolver_failure_exit_code(k3_file, capsys, monkeypatch):
     assert err.startswith("solver failure (NumericalFailure): ")
 
 
+def test_certificate_eigensolver_failure_exit_code(k3_file, capsys, monkeypatch):
+    # The certificate's lambda_min solve fails like a round's solve.
+    def broken(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+    assert main(["approx", "--graph", k3_file, "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("solver failure (NumericalFailure): ")
+
+
+@pytest.mark.parametrize("command,weight,code", [
+    ("approx", 10**400, 2), ("approx", 2**1023, 2), ("approx", 2**1022, 2),
+    ("maxcut", 10**400, 2), ("approx", 10**300, 0)],
+    ids=["approx-10**400", "approx-2**1023", "approx-2**1022", "maxcut-10**400",
+         "approx-10**300"])
+def test_weights_beyond_float_range_exit_code(command, weight, code, tmp_path, capsys):
+    # A vertex weight (for maxcut, a degree) above 2**1000 would overflow a
+    # float in the spectral layer; it is an input error, not a traceback.
+    graph, weights = tmp_path / "g.txt", tmp_path / "b.txt"
+    edge_weight = weight if command == "maxcut" else 1
+    graph.write_text(f"3 3\n1 2 {edge_weight}\n2 3 {edge_weight}\n1 3 {edge_weight}\n")
+    weights.write_text(f"{weight}\n" * 3)
+    files = ["--graph", str(graph)] + (["--weights", str(weights)] if command == "approx" else [])
+    assert main([command, *files]) == code
+    captured = capsys.readouterr()
+    assert (captured.out == "") == bool(code)
+    assert captured.err == ("error: vertex 0 has weight above 2**1000, beyond the float "
+                            "range the spectral layer computes in\n" if code else "")
+
+
+@pytest.mark.parametrize("command,beta", [
+    (["exact"], f"{2 * 10**400}/3 (6.66666667e+399)"),
+    (["approx", "--rounds", "2"], f"{2 * 10**400}/1 (2e+400)")], ids=["exact", "approx"])
+def test_ratio_beyond_float_range_prints(command, beta, tmp_path, capsys):
+    # A ratio a float cannot hold prints its decimal from the exact value.
+    graph, weights = tmp_path / "g.txt", tmp_path / "b.txt"
+    w = 10**400
+    graph.write_text(f"3 3\n1 2 {w}\n2 3 {w}\n1 3 {w}\n")
+    weights.write_text("1\n1\n1\n")
+    args = [*command, "--graph", str(graph), "--weights", str(weights)]
+    assert main(args) == 0
+    assert f"beta = {beta}\n" in capsys.readouterr().out
+    assert main([*args, "--json"]) == 0
+    ratio = json.loads(capsys.readouterr().out)["result"]["beta"]
+    assert f"{ratio['num']}/{ratio['den']} ({ratio['decimal']})" == beta
+
+
+def test_small_ratio_decimals_keep_nine_digits():
+    # A nonzero ratio below the float range is not printed as 0, nor one in
+    # the subnormal range with the few digits its float holds.
+    assert cli.fmt_ratio(Fraction(1, 3 * 10**400)) == f"1/{3 * 10**400} (3.33333333e-401)"
+    assert cli.fmt_ratio(Fraction(1, 10**320)) == f"1/{10**320} (1e-320)"
+    assert cli.ratio_json(Fraction(0))["decimal"] == "0"
+
+
 @pytest.mark.parametrize("error", [
     NumericalFailure, DegreeOverflowError, MalformedPathError,
     SaturatingFlowError, RoundFail, GameFailed, AssertionError])
@@ -358,7 +438,7 @@ def test_verify_registry_applies_each_flag_where_it_fits(capsys):
 FAST_CHECKS = ["claim-equality", "thm-linked", "lemma-cut", "witness-exact",
                "regret", "cert-sound", "demand-degree", "approx-quality",
                "rounding-accept", "flow-decomp"]
-WEIGHTS = st.integers(1, 2**64)
+WEIGHTS = st.integers(1, 2**64) | st.just(10**400)
 
 
 @st.composite

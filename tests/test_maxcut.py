@@ -196,3 +196,28 @@ def test_maxcut_level_frees_its_sweep_before_recursing(monkeypatch):
     monkeypatch.setattr(maxcut, "approx_bipartiteness", tracked)
     res = recursive_bipart(gnp(12, 0.5, 3, seed=0), GameParams(seed=0))
     assert len(sweeps) == len(res.trace) == 2
+
+
+def test_sweep_frees_each_witness_game_after_its_summary(monkeypatch):
+    # The sweep keeps a witness's sign vector and ratio, not the game: its
+    # round records are unreachable before the next game starts.
+    import gc
+    import weakref
+
+    import bipratio.game as game
+
+    real = game.cut_matching_game
+    outcomes = []
+
+    def tracked(G, k, params, seed_path):
+        gc.collect()
+        alive = [out.k for out in (ref() for ref in outcomes) if out is not None]
+        assert alive == [], f"game k={k} starts while games {alive} live"
+        out = real(G, k, params, seed_path)
+        outcomes.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(game, "cut_matching_game", tracked)
+    res = game.approx_bipartiteness(gnp(20, 0.3, 3, seed=8), GameParams(seed=6))
+    assert [(g.k, g.outcome) for g in res.games] == [
+        (1, "witness"), (2, "witness"), (4, "certificate")]

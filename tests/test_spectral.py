@@ -292,6 +292,14 @@ def test_exact_gram_rejects_wrong_weight_count(b):
         exact_gram_vectors(MmwuState.initial(3), b)
 
 
+def test_vertex_weights_above_2_1000_are_refused():
+    # The bound is inclusive, and the refusal names the vertex.
+    V = exact_gram_vectors(MmwuState.initial(3), (1, 2**1000, 1))
+    assert np.isfinite(V).all() and V[1, 1] > 0
+    with pytest.raises(ValueError, match="vertex 1 has weight above 2\\*\\*1000"):
+        exact_gram_vectors(MmwuState.initial(3), (1, 2**1000 + 1, 1))
+
+
 def test_approx_gram_rejects_wrong_weight_count():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="need 3 vertex weights"):

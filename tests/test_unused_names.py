@@ -5,7 +5,8 @@ its imports, and a line marked ``# noqa: F401`` is exempt), and every private
 module-level name must be read by some statement of the package other than the
 one that defines it.  Every field of a dataclass or ``NamedTuple`` of the
 package must be read as an attribute somewhere in the repository's code, and every
-method or property of a package class somewhere outside the tests.
+public module-level function or class, and every method or property of a
+package class, somewhere outside the tests.
 Stdlib ``ast`` only, so it runs wherever the tests run.
 """
 
@@ -144,13 +145,41 @@ PUBLIC_API = {
 }
 
 
+def _program_trees() -> dict[Path, ast.Module]:
+    """The parsed files of ``src/``, ``demos/`` and ``perfbench/``."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for folder in ("src", "demos", "perfbench")
+            for path in (ROOT / folder).rglob("*.py")}
+
+
+def test_every_public_name_is_read():
+    """Every public module-level function or class of the package is read,
+    as a name or an attribute, in ``src/``, ``demos/`` or ``perfbench/``
+    outside its own definition; a re-export in ``__init__.py`` is no read."""
+    trees = _program_trees()
+    reads = [(sub.attr if isinstance(sub, ast.Attribute) else sub.id, id(sub))
+             for tree in trees.values() for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute)
+             or (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load))]
+    unread = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for stmt in tree.body:
+            if (not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    or stmt.name.startswith("_")):
+                continue
+            inside = {id(sub) for sub in ast.walk(stmt)}
+            if not any(name == stmt.name and node not in inside for name, node in reads):
+                unread.append(f"{path.name}: {stmt.name}")
+    assert unread == []
+
+
 def test_every_method_is_read():
     """Every method or property of a package class is read as an attribute
     in ``src/``, ``demos/`` or ``perfbench/``, outside its own definition;
     tests alone do not keep one in the library."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
-             for folder in ("src", "demos", "perfbench")
-             for path in (ROOT / folder).rglob("*.py")}
+    trees = _program_trees()
     reads = [sub for tree in trees.values() for sub in ast.walk(tree)
              if isinstance(sub, ast.Attribute)]
     unread = []
