@@ -281,8 +281,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.seed is not None:
-        _checked_seed(args.seed, "--seed")
+    # With neither --seed nor BIPRATIO_SEED, each check keeps its own seed.
+    if args.seed is not None or os.environ.get("BIPRATIO_SEED"):
+        args.seed = _seed_from(args)
     names = [args.check] if args.check else list(CHECKS)
     given = {flag: param for flag, param in VERIFY_FLAGS.items()
              if getattr(args, flag) is not None}
@@ -377,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="graph size cap (n_max) of the checks that draw sized graphs")
     sp.add_argument("--trials", type=int, default=None,
                     help="corpus size of every check")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed of every check (fallback: BIPRATIO_SEED, "
+                         "then each check's own)")
     sp.add_argument("--graph", default=None,
                     help="extra edge-list file for the regret check")
     sp.add_argument("--k", type=int, default=None,

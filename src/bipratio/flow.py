@@ -43,8 +43,10 @@ class FlowNetwork:
     solved once.
 
     Middle arcs carry a (base edge id, copy) tag, stored under both arc ids
-    of the pair, so that demand graphs can account congestion per
-    doubled-graph edge; terminal arcs carry None.  ``pair_keys`` maps each
+    of the pair, and terminal arcs carry None: ``demand_graph`` reads it to
+    refuse a walk that crosses a terminal arc between its ends, and
+    ``verify.check_flow_decomposition`` to count each doubled-graph edge's
+    load from the walks.  ``pair_keys`` maps each
     demand pair recorded on this network to its one key tuple, which the
     demand graphs of every round share; it lives as long as the network,
     that is, one game.
@@ -470,26 +472,25 @@ class DemandMultigraph:
     value on ``n`` vertices.
 
     Self-loops (a path entering the plus copy and leaving the minus copy of
-    one vertex) are allowed and count twice toward the degree.  The usage
-    ledger maps a middle-edge copy ``(base edge id, copy)`` to the flow units
-    routed through it.  Both ledgers are read once, at construction, into two
-    parallel tuples each, keys and units in the given dict's order, which
-    hold a round in far less memory than hash tables; the graph keeps no
-    dict, so a caller may reuse the ones it passed.  ``pairs`` and ``usage``
-    return fresh dicts built from the tuples, and ``pair_items`` walks the
-    pair ledger without building one.  Pair keys must lie in ``range(n)``
-    and multiplicities must be integers >= 1 (ValueError otherwise).  The
-    keys may be the very tuples that other demand graphs of one network hold
-    (``FlowNetwork.pair_keys`` and ``FlowNetwork.arc_tag``); tuples are
-    immutable, so the sharing cannot be observed.
+    one vertex) are allowed and count twice toward the degree.  The graph
+    holds its pairs alone: the certificate bound reads only the endpoints,
+    and the network's capacities w(e) * k already cap the units crossing
+    each doubled-graph edge.  The pair dict is read once, at construction,
+    into two parallel tuples, keys and multiplicities in the given dict's
+    order, which hold a round in far less memory than a hash table; the
+    graph keeps no dict, so a caller may reuse the one it passed.  ``pairs``
+    returns a fresh dict built from the tuples, and ``pair_items`` walks
+    them without building one.  Pair keys must lie in ``range(n)`` and
+    multiplicities must be integers >= 1 (ValueError otherwise).  The keys
+    may be the very tuples that other demand graphs of one network hold
+    (``FlowNetwork.pair_keys``); tuples are immutable, so the sharing cannot
+    be observed.
     """
 
-    __slots__ = ("n", "_pair_keys", "_pair_units", "_usage_tags", "_usage_units")
+    __slots__ = ("n", "_pair_keys", "_pair_units")
 
-    def __init__(self, n: int, pairs: dict[tuple[int, int], int] | None = None,
-                 usage: dict[tuple[int, int], int] | None = None):
+    def __init__(self, n: int, pairs: dict[tuple[int, int], int] | None = None):
         pairs = pairs or {}
-        usage = usage or {}
         for (i, j), c in pairs.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"demand pair {(i, j)} does not lie in range({n})")
@@ -499,18 +500,11 @@ class DemandMultigraph:
         self.n = n
         self._pair_keys: tuple[tuple[int, int], ...] = tuple(pairs)
         self._pair_units: tuple[int, ...] = tuple(pairs.values())
-        self._usage_tags: tuple[tuple[int, int], ...] = tuple(usage)
-        self._usage_units: tuple[int, ...] = tuple(usage.values())
 
     @property
     def pairs(self) -> dict[tuple[int, int], int]:
         """The pair multiplicities as a new dict, keys in first-entry order."""
         return dict(self.pair_items())
-
-    @property
-    def usage(self) -> dict[tuple[int, int], int]:
-        """The usage ledger as a new dict, keys in first-traversed order."""
-        return dict(zip(self._usage_tags, self._usage_units))
 
     def pair_items(self) -> Iterator[tuple[tuple[int, int], int]]:
         """(pair, multiplicity) in first-entry order, read off the tuples."""
@@ -531,22 +525,19 @@ class DemandMultigraph:
 
     @staticmethod
     def union(graphs: Sequence["DemandMultigraph"], n: int) -> "DemandMultigraph":
-        """Sum of the graphs' multiplicities and usage on n vertices, keys in
-        first-seen order; every graph must live on those n vertices."""
+        """Sum of the graphs' multiplicities on n vertices, keys in first-seen
+        order; every graph must live on those n vertices."""
         pairs: dict[tuple[int, int], int] = {}
-        usage: dict[tuple[int, int], int] = {}
         for g in graphs:
             if g.n != n:
                 raise ValueError("demand graphs live on different vertex sets")
             for key, c in g.pair_items():
                 pairs[key] = pairs.get(key, 0) + c
-            for key, c in zip(g._usage_tags, g._usage_units):
-                usage[key] = usage.get(key, 0) + c
-        return DemandMultigraph(n, pairs, usage)
+        return DemandMultigraph(n, pairs)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DemandMultigraph) and self.n == other.n
-                and self.pairs == other.pairs and self.usage == other.usage)
+                and self.pairs == other.pairs)
 
     def __repr__(self) -> str:
         return f"DemandMultigraph(n={self.n}, pairs={self.pairs!r})"
@@ -554,16 +545,15 @@ class DemandMultigraph:
 
 def demand_graph(paths: Sequence[FlowPath], net: FlowNetwork) -> DemandMultigraph:
     """Demand graph of a path multiset: one parallel edge {i, j} per path unit
-    entering at a copy of i and leaving at a copy of j, plus the per-copy
-    usage ledger of every traversed middle edge, all read off ``net``; a
-    pair's key is the tuple ``net.pair_keys`` holds for it.  Both ledgers are
-    summed in dicts, in first-entry order, which the graph reads once into
-    its tuples and drops."""
+    entering at a copy of i and leaving at a copy of j, read off ``net``; a
+    pair's key is the tuple ``net.pair_keys`` holds for it.  The pairs are
+    summed in a dict, in first-entry order, which the graph reads once into
+    its tuples and drops.  Every interior arc of a walk must be a middle arc
+    (MalformedPathError otherwise)."""
     n = net.n_base
     head, arc_tag, pair_keys = net.head, net.arc_tag, net.pair_keys
     A, B = net.A, net.B
     pairs: dict[tuple[int, int], int] = {}
-    usage: dict[tuple[int, int], int] = {}
     for arcs, units in paths:
         middle = arcs[1:-1]
         if not middle:
@@ -572,6 +562,9 @@ def demand_graph(paths: Sequence[FlowPath], net: FlowNetwork) -> DemandMultigrap
         if entry not in A or exit_ not in B:
             raise MalformedPathError(
                 f"path endpoints ({entry}, {exit_}) are not a source/sink pair")
+        for a in middle:
+            if arc_tag[a] is None:
+                raise MalformedPathError("a walk uses a terminal arc between its ends")
         i, j = entry % n, exit_ % n
         key = (i, j) if i <= j else (j, i)
         c = pairs.get(key)
@@ -579,9 +572,4 @@ def demand_graph(paths: Sequence[FlowPath], net: FlowNetwork) -> DemandMultigrap
             pairs[pair_keys.setdefault(key, key)] = units
         else:
             pairs[key] = c + units
-        for a in middle:
-            tag = arc_tag[a]
-            usage[tag] = usage.get(tag, 0) + units
-    if None in usage:
-        raise MalformedPathError("a walk uses a terminal arc between its ends")
-    return DemandMultigraph(n, pairs, usage)
+    return DemandMultigraph(n, pairs)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .flow import build_network, consistent_min_cut, cut_capacity, decompose_flow, \
-    demand_graph, is_saturating, max_flow
+    is_saturating, max_flow
 from .game import Certificate, GameParams, approx_bipartiteness, cut_matching_game
 from .generators import _patch_isolated, planted_bipartite
 from .graph import WeightedGraph, aux_cut_ratio, build_auxiliary_graph, \
@@ -399,7 +399,9 @@ def check_rounding_acceptance(n: int = 64, trials: int = 10_000, seed: int = 12)
 
 
 def check_flow_decomposition(trials: int = 60, seed: int = 13):
-    """Path decomposition invariants on saturating selection networks."""
+    """Path decomposition invariants on saturating selection networks; each
+    copy's load is counted from the walks (``arc_tag`` over ``arcs[1:-1]``)
+    and checked against w(e) * k."""
     rng = np.random.default_rng([seed, 23])
     seen = 0
     attempts = 0
@@ -421,14 +423,17 @@ def check_flow_decomposition(trials: int = 60, seed: int = 13):
         if len(paths) > len(net.head) // 2:
             return False, "more distinct paths than arcs"
         head, arc_tag = net.head, net.arc_tag
-        for arcs, _ in paths:
+        load: dict[tuple[int, int], int] = {}
+        for arcs, units in paths:
             if head[arcs[0] ^ 1] != net.source or head[arcs[-1]] != net.sink:
                 return False, "a walk does not run from the source to the sink"
             if any(head[a] != head[b ^ 1] for a, b in zip(arcs, arcs[1:])):
                 return False, "consecutive arcs of a walk do not meet"
-            if any(arc_tag[a] is None for a in arcs[1:-1]):
-                return False, "an interior arc of a walk is not a middle arc"
-        for (e, _), units in demand_graph(paths, net).usage.items():
+            for tag in map(arc_tag.__getitem__, arcs[1:-1]):
+                if tag is None:
+                    return False, "an interior arc of a walk is not a middle arc"
+                load[tag] = load.get(tag, 0) + units
+        for (e, _), units in load.items():
             if units > G.edges[e][2] * k:
                 return False, f"congestion above w*k on edge {e}"
         seen += 1

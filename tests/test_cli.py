@@ -259,7 +259,7 @@ def test_env_seed_fallback(k3_file, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
-@pytest.mark.parametrize("command", ["approx", "exact", "maxcut"])
+@pytest.mark.parametrize("command", ["approx", "exact", "maxcut", "verify"])
 def test_bad_env_seed_exit_code(command, value, k3_file, capsys, monkeypatch):
     monkeypatch.setenv("BIPRATIO_SEED", value)
     assert main([command, "--graph", k3_file]) == 2
@@ -267,6 +267,20 @@ def test_bad_env_seed_exit_code(command, value, k3_file, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: BIPRATIO_SEED must be a non-negative integer, got {value}"]
+
+
+def test_verify_env_seed_fallback(capsys, monkeypatch):
+    # BIPRATIO_SEED seeds every check as --seed does; with neither, each
+    # check keeps its own default seed.
+    argv = ["verify", "--quick", "--check", "witness-exact"]
+    assert main(argv + ["--seed", "2"]) == 0
+    flagged = capsys.readouterr().out
+    monkeypatch.setenv("BIPRATIO_SEED", "2")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == flagged
+    monkeypatch.delenv("BIPRATIO_SEED")
+    assert main(argv) == 0
+    assert capsys.readouterr().out != flagged
 
 
 def test_negative_generator_seed_exit_code(capsys):

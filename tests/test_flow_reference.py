@@ -265,7 +265,10 @@ def ref_demand_graph(paths, net):
         pairs[key] = pairs.get(key, 0) + p.units
         for tag in p.middle:
             usage[tag] = usage.get(tag, 0) + p.units
-    return DemandMultigraph(n, pairs, usage)
+    # No copy of a doubled-graph edge carries more than its capacity w * k.
+    for (e, _), units in usage.items():
+        assert units <= net.aux.base.edges[e][2] * net.k
+    return DemandMultigraph(n, pairs)
 
 
 def ref_demand_matrix(M, b):
@@ -370,7 +373,6 @@ def test_flow_round_matches_reference():
             stats["long_paths"] += sum(len(p.arcs) >= 5 for p in paths)
             M, ref_M = demand_graph(paths, net), ref_demand_graph(ref_paths, ref)
             assert list(M.pairs.items()) == list(ref_M.pairs.items())
-            assert list(M.usage.items()) == list(ref_M.usage.items())
             F = demand_matrix(M, G.b)
             assert F.tobytes() == ref_demand_matrix(ref_M, G.b).tobytes()
     # The cases reach the cycle cancelling, paths of five or more arcs and
@@ -502,7 +504,6 @@ def test_flow_round_matches_reference_on_game_traffic(traffic, monkeypatch):
         assert _as_ref_paths(paths, net) == ref_paths
         ref_M = ref_demand_graph(ref_paths, net)
         assert list(M.pairs.items()) == list(ref_M.pairs.items())
-        assert list(M.usage.items()) == list(ref_M.usage.items())
     if traffic == "sweep":
         # Over a hundred solves, each a depth-3 first phase and deeper ones,
         # and peels of every shape: five arcs, and (rarely) seven or more.

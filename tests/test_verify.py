@@ -75,3 +75,16 @@ def test_gram_bounds_fail_when_no_audit_runs(monkeypatch):
     ok, detail = verify.check_gram_bounds(ns=(8,), trials=5, seed=8, audits=3)
     assert not ok
     assert detail.startswith("no audit ran")
+
+
+def test_flow_decomposition_rejects_congestion_above_capacity(monkeypatch):
+    # Networks built at four times the ratio parameter the check reads let
+    # a copy carry more than w * k; the load counted from the walks shows it.
+    import bipratio.verify as verify
+
+    real_build = verify.build_network
+    monkeypatch.setattr(verify, "build_network",
+                        lambda aux, L, R, k: real_build(aux, L, R, 4 * k))
+    ok, detail = verify.check_flow_decomposition(trials=15)
+    assert not ok
+    assert detail.startswith("congestion above w*k on edge")
