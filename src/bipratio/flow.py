@@ -480,11 +480,11 @@ class DemandMultigraph:
     order, which hold a round in far less memory than a hash table; the
     graph keeps no dict, so a caller may reuse the one it passed.  ``pairs``
     returns a fresh dict built from the tuples, and ``pair_items`` walks
-    them without building one.  Pair keys must lie in ``range(n)`` and
-    multiplicities must be integers >= 1 (ValueError otherwise).  The keys
-    may be the very tuples that other demand graphs of one network hold
-    (``FlowNetwork.pair_keys``); tuples are immutable, so the sharing cannot
-    be observed.
+    them without building one.  A pair has one key form, (i, j) with
+    0 <= i <= j < n, and multiplicities are integers >= 1 (ValueError
+    otherwise).  The keys may be the very tuples that other demand graphs
+    of one network hold (``FlowNetwork.pair_keys``); tuples are immutable,
+    so the sharing cannot be observed.
     """
 
     __slots__ = ("n", "_pair_keys", "_pair_units")
@@ -492,8 +492,8 @@ class DemandMultigraph:
     def __init__(self, n: int, pairs: dict[tuple[int, int], int] | None = None):
         pairs = pairs or {}
         for (i, j), c in pairs.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"demand pair {(i, j)} does not lie in range({n})")
+            if not 0 <= i <= j < n:
+                raise ValueError(f"demand pair {(i, j)} is not i <= j in range({n})")
             if not (isinstance(c, int) and c >= 1):
                 raise ValueError(f"demand pair {(i, j)} has multiplicity {c!r}, "
                                  "not an integer >= 1")
@@ -520,7 +520,7 @@ class DemandMultigraph:
         return d
 
     def weighted_edges(self) -> Iterator[tuple[int, int, int]]:
-        for (a, b), c in sorted(self.pair_items()):
+        for (a, b), c in self.pair_items():
             yield a, b, c
 
     @staticmethod

@@ -5,8 +5,10 @@ The cut player maintains a density matrix
     X_t = exp(-delta * sum_{s<t} F_s) / tr(exp(-delta * sum_{s<t} F_s)),
 
 where each F_s is the rescaled quadratic form of a demand graph,
-D_b^{-1/2} (D_M + A_M) D_b^{-1/2}, and delta = ``DELTA``.  Each state caches
-one factor Y = Q diag(sqrt(w / sum w)) of X_t, from one dense symmetric
+D_b^{-1/2} (D_M + A_M) D_b^{-1/2}, and delta = ``DELTA``.  F_s is built
+exactly symmetric, so every sum of them is too, and the eigensolves take
+their (symmetric) input as given.  Each state caches one factor
+Y = Q diag(sqrt(w / sum w)) of X_t, from one dense symmetric
 eigendecomposition Q diag(lam) Q^T of the accumulated matrix with
 w = exp(-delta * lam).  Then X_t = Y Y^T, and V = D_b^{-1/2} Y holds Gram
 vectors of D_b^{-1/2} X_t D_b^{-1/2}, so no second solve is needed.  A
@@ -46,10 +48,10 @@ MAX_VERTEX_WEIGHT = 2**1000
 
 
 def _symmetric_solve(solver, A: np.ndarray):
-    """``solver`` (``np.linalg.eigh`` or ``eigvalsh``) on the symmetric part
-    of A; a solver that does not converge raises NumericalFailure."""
+    """``solver`` (``np.linalg.eigh`` or ``eigvalsh``) on symmetric A as given
+    (LAPACK reads one triangle); non-convergence raises NumericalFailure."""
     try:
-        return solver((A + A.T) / 2.0)
+        return solver(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
 
@@ -90,8 +92,7 @@ def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
                 f"demand degree {degs[i]} at vertex {i} exceeds 2*b = {2 * bi}")
     # Python floats, in pair order: the roundings of adding each term into F
     # in turn, without numpy scalar indexing.  Off the diagonal each key
-    # writes its own entry; F + F.T then adds the (j, i) term, if any, to the
-    # (i, j) one, and a sum of two terms is the same in either order.
+    # (i < j) owns its entry and writes it into both triangles.
     n = M.n
     inv_sqrt = [1.0 / math.sqrt(x) for x in b_list]  # np.sqrt rounds the same
     inv_sqrt_sq = [x ** 2 for x in inv_sqrt]
@@ -106,10 +107,9 @@ def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
             diag[j] += c * inv_sqrt_sq[j]
             index.append(i * n + j)
             off.append(c * inv_sqrt[i] * inv_sqrt[j])
-    F = np.zeros(n * n)
-    F[index] = off
-    F = F.reshape(n, n)
-    F = F + F.T
+    F = np.zeros((n, n))
+    F.flat[index] = off
+    F.T.flat[index] = off
     F.flat[::n + 1] = diag
     return F
 
@@ -127,7 +127,7 @@ class MmwuState:
     @cached_property
     def factor(self) -> np.ndarray:
         """Y = Q diag(sqrt(w / sum w)) with X = Y Y^T, from the eigenpairs
-        (lam, Q) of the symmetrised accumulated matrix and
+        (lam, Q) of the accumulated matrix, which must be symmetric, and
         w = exp(-DELTA * lam), shifted so its largest entry is 1; the
         normalization cancels the shift."""
         lam, Q = _eigh(self.accumulated)
@@ -144,7 +144,7 @@ class MmwuState:
 
 
 def sym_expm(A: np.ndarray) -> np.ndarray:
-    """exp(A) for symmetric A via eigendecomposition."""
+    """exp(A) via eigendecomposition; A must be symmetric."""
     lam, Q = _eigh(A)
     return (Q * np.exp(lam)) @ Q.T
 
@@ -267,10 +267,10 @@ def gaussian_round(V: np.ndarray, b, rng: np.random.Generator,
 
 
 def lambda_min(A: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
+    """Smallest eigenvalue of A, which must be symmetric."""
     return float(_symmetric_solve(np.linalg.eigvalsh, A)[0])
 
 
 def lambda_max(A: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric matrix."""
+    """Largest eigenvalue of A, which must be symmetric."""
     return float(_symmetric_solve(np.linalg.eigvalsh, A)[-1])

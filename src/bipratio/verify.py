@@ -365,16 +365,16 @@ def check_maxcut_bipartite(trials: int = 50, n_max: int = 30, seed: int = 10):
 def check_maxcut_bound(trials: int = 40, n_max: int = 16, seed: int = 11):
     """Near-bipartite inputs: value >= 1 - 10 ln n * ln(3/eta) * eta."""
     rng = np.random.default_rng([seed, 21])
-    good = 0
-    counted = 0
+    good = counted = skipped = 0
     while counted < trials:
         n = int(rng.integers(6, n_max + 1))
         G, _ = planted_bipartite(n, p_cross=float(rng.uniform(0.3, 0.7)),
                                  p_noise=float(rng.uniform(0.05, 0.3)),
-                                 seed=seed * 2999 + counted + good)
+                                 seed=seed * 2999 + counted + good + skipped)
         opt, _ = brute_maxcut(G)
         eta = 1 - opt
-        if eta == 0:
+        if eta == 0:  # bipartite: a new draw, on a moved generator seed
+            skipped += 1
             continue
         counted += 1
         result = recursive_bipart(G, GameParams(seed=seed * 2999 + counted))

@@ -4,6 +4,14 @@ from bipratio import WeightedGraph
 from bipratio.generators import complete, cycle
 
 
+@pytest.fixture(autouse=True)
+def no_seed_from_the_caller(monkeypatch):
+    """Run every test without the caller's BIPRATIO_SEED, so outputs pinned
+    at the default seeds hold in any environment; a test that wants the
+    variable sets it itself."""
+    monkeypatch.delenv("BIPRATIO_SEED", raising=False)
+
+
 @pytest.fixture
 def k3() -> WeightedGraph:
     return complete(3)

@@ -336,10 +336,12 @@ def test_degrees_follow_the_read_only_pairs():
     assert M.degrees() == [2, 2, 2]
 
 
-@pytest.mark.parametrize("pairs", [{(0, -1): 1}, {(0, 3): 1}, {(-1, 2): 1, (0, 1): 1}])
+@pytest.mark.parametrize("pairs", [{(0, -1): 1}, {(0, 3): 1}, {(-1, 2): 1, (0, 1): 1},
+                                   {(1, 0): 1}, {(2, 1): 1, (0, 1): 1}])
 def test_demand_pairs_outside_the_vertex_range_are_rejected(pairs):
     # A negative index would wrap to another vertex, and one past the end
-    # would fail later with a bare IndexError.
+    # would fail later with a bare IndexError.  A pair has one key form,
+    # (i, j) with i <= j, so a reversed key is refused too.
     with pytest.raises(ValueError, match=r"range\(3\)"):
         DemandMultigraph(3, pairs)
     assert DemandMultigraph(3, {(0, 2): 1, (1, 1): 2}).degrees() == [1, 4, 1]

@@ -417,7 +417,12 @@ def test_max_flow_matches_reference_on_selection_sweeps():
     {(2, 1): 2, (1, 1): 1, (0, 2): 1, (1, 2): 1, (2, 0): 1},
 ])
 def test_demand_matrix_matches_reference_by_hand(pairs):
-    # Hand-built graphs hold both (i, j) and (j, i), self-loops, or nothing.
+    # Hand-built graphs hold self-loops or nothing; one holding a reversed
+    # key (j, i), with or without (i, j) beside it, is refused.
+    if any(i > j for i, j in pairs):
+        with pytest.raises(ValueError, match=r"range\(3\)"):
+            DemandMultigraph(3, pairs)
+        return
     M = DemandMultigraph(3, pairs)
     for b in [(3, 5, 7), (4, 4, 4), (6, 3, 11)]:
         assert demand_matrix(M, b).tobytes() == ref_demand_matrix(M, b).tobytes()
@@ -432,7 +437,7 @@ def test_demand_matrix_matches_reference_random():
         pairs: dict[tuple[int, int], int] = {}
         budget = [2 * x for x in b]
         for _ in range(int(rng.integers(0, 3 * n + 1))):
-            i, j = (int(v) for v in rng.integers(0, n, size=2))
+            i, j = sorted(int(v) for v in rng.integers(0, n, size=2))
             c = int(rng.integers(1, 4))
             need = [0] * n
             need[i] += c

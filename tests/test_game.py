@@ -212,6 +212,33 @@ def test_sweep_determinism(k3):
         [(g.k, g.outcome, g.rounds) for g in b.games]
 
 
+def test_demand_forms_and_their_sums_are_exactly_symmetric(monkeypatch):
+    # The eigensolves take their input as built, reading one triangle, so
+    # each round's F and the running sum the state holds must be symmetric
+    # to the last bit; so must every matrix the game hands a solver.
+    import bipratio.spectral as spectral
+    from bipratio.generators import gnp
+    from bipratio.spectral import lambda_min
+
+    solved = []
+    real_solve = spectral._symmetric_solve
+
+    def checked(solver, A):
+        solved.append(np.array_equal(A, A.T))
+        return real_solve(solver, A)
+
+    monkeypatch.setattr(spectral, "_symmetric_solve", checked)
+    G = gnp(20, 0.3, 3, seed=8)
+    cert = approx_bipartiteness(G, GameParams(seed=6)).certificate
+    running = np.zeros((G.n, G.n))
+    for rec in cert.records:
+        F = demand_matrix(rec.demand, G.b)
+        running = running + F
+        assert np.array_equal(F, F.T) and np.array_equal(running, running.T)
+    assert lambda_min(running) == cert.lambda_min  # the sum the state held
+    assert len(solved) > cert.rounds and all(solved)
+
+
 def test_regret_inequality_on_certificates():
     import math
 

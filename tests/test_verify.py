@@ -1,15 +1,21 @@
-"""The check registry's contract, the quick run's pinned output, and the
-gram-bounds audit count."""
+"""The check registry's contract, the quick run's pinned output, the
+gram-bounds audit count and the maxcut-bound draw loop."""
 
 from __future__ import annotations
 
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from bipratio.cli import main
 from bipratio.verify import CHECKS, QUICK_OVERRIDES, SMALLEST_N
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _params(name: str) -> set[str]:
@@ -88,3 +94,16 @@ def test_flow_decomposition_rejects_congestion_above_capacity(monkeypatch):
     ok, detail = verify.check_flow_decomposition(trials=15)
     assert not ok
     assert detail.startswith("congestion above w*k on edge")
+
+
+def test_maxcut_bound_moves_past_bipartite_draws():
+    # At n = 6 and seed 2 every early draw is bipartite (eta = 0); a skipped
+    # draw must move the generator seed, or the check loops forever.  The
+    # check runs in a fresh interpreter so a regression times out here.
+    proc = subprocess.run(
+        [sys.executable, "-m", "bipratio", "verify", "--quick", "--check", "maxcut-bound",
+         "--n", "6", "--trials", "1", "--seed", "2"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[PASS] maxcut-bound: 1/1 noisy runs met the uncut bound\n"
