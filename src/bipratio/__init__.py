@@ -67,6 +67,7 @@ from .oracle import brute_beta, brute_maxcut, brute_well_linked
 from .spectral import (
     MmwuState,
     RoundedCut,
+    VertexWeights,
     approx_gram_vectors,
     demand_matrix,
     density_matrix,

@@ -177,21 +177,28 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
     have residual and a head one level deeper; below that level lies only
     the sink, so the augmenting paths are those of a full-depth search.  A
     phase with the sink at level 3 (source -> source-side copy -> middle arc
-    -> sink-side copy -> sink, only ever the first phase) is walked in
-    straight-line code; deeper phases use a DFS.  The solve mutates the
-    residuals in place, so a network is solved once per selection
-    (``FlowNetwork.select`` restores it), and audits itself: the residual
-    source-side cut must equal the flow.
+    -> sink-side copy -> sink) is walked in straight-line code; deeper
+    phases use a DFS.  The first phase reads its levels from the selection
+    instead of searching: on the fresh residuals that ``select`` leaves,
+    level 1 is the source side A (every selected source arc holds b >= 1)
+    and level 2 every other copy that a middle arc reaches, so it is walked
+    as a level-3 phase.  When the sink lies deeper, no level-2 copy has a
+    residual sink arc and that walk pushes nothing; the BFS then finds the
+    first phase as if it had run first.  The solve mutates the residuals in
+    place, so a network is solved once per selection (``FlowNetwork.select``
+    restores it), and audits itself: the residual source-side cut must equal
+    the flow.
     """
     if net.solved:
         raise RuntimeError("network already solved; select() a pair before solving again")
     adj, head, cap, sink_arc = net.adj, net.head, net.cap, net.sink_arc
     s, t = net.source, net.sink
     total = 0
+    level = [2] * net.n_nodes  # the first phase's levels, as read from A
+    for v in net.A:
+        level[v] = 1
+    level[s], level[t] = 0, 3
     while True:
-        level = _bfs_levels(net)
-        if level[t] < 0:
-            break
         if level[t] == 3:
             # The DFS's paths, without its stack: each source-side copy
             # pushes along its middle arcs in order until its source arc is
@@ -221,43 +228,46 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
                 cap[a0] = room
                 cap[a0 ^ 1] += pushed
                 total += pushed
-            continue
-        it = [0] * net.n_nodes
-        path: list[int] = []
-        u = s
-        while True:
-            if u == t:
-                # The first arc of least residual is the first one saturated.
-                aug, cut = cap[path[0]], 0
-                for idx in range(1, len(path)):
-                    c = cap[path[idx]]
-                    if c < aug:
-                        aug, cut = c, idx
-                total += aug
-                for a in path:
-                    cap[a] -= aug
-                    cap[a ^ 1] += aug
-                u = head[path[cut] ^ 1]
-                del path[cut:]
-                continue
-            arcs = adj[u]
-            i, end, nxt = it[u], len(arcs), level[u] + 1
-            while i < end:
-                a = arcs[i]
-                if cap[a] > 0 and level[head[a]] == nxt:
+        else:
+            it = [0] * net.n_nodes
+            path: list[int] = []
+            u = s
+            while True:
+                if u == t:
+                    # The first arc of least residual is the first one saturated.
+                    aug, cut = cap[path[0]], 0
+                    for idx in range(1, len(path)):
+                        c = cap[path[idx]]
+                        if c < aug:
+                            aug, cut = c, idx
+                    total += aug
+                    for a in path:
+                        cap[a] -= aug
+                        cap[a ^ 1] += aug
+                    u = head[path[cut] ^ 1]
+                    del path[cut:]
+                    continue
+                arcs = adj[u]
+                i, end, nxt = it[u], len(arcs), level[u] + 1
+                while i < end:
+                    a = arcs[i]
+                    if cap[a] > 0 and level[head[a]] == nxt:
+                        break
+                    i += 1
+                it[u] = i
+                if i < end:
+                    path.append(a)
+                    u = head[a]
+                    continue
+                if u == s:
                     break
-                i += 1
-            it[u] = i
-            if i < end:
-                path.append(a)
-                u = head[a]
-                continue
-            if u == s:
-                break
-            level[u] = -1
-            a = path.pop()
-            u = head[a ^ 1]
-            it[u] += 1
+                level[u] = -1
+                a = path.pop()
+                u = head[a ^ 1]
+                it[u] += 1
+        level = _bfs_levels(net)
+        if level[t] < 0:
+            break
     net.solved = True
     # The last search could not reach the sink: what it reached is the
     # residual source side.

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .graph import (
 from .oracle import brute_beta
 from .spectral import (
     MmwuState,
+    VertexWeights,
     approx_gram_vectors,  # noqa: F401 -- perfbench/tracing.py wraps this name here
     demand_matrix,
     density_matrix,
@@ -61,7 +63,7 @@ from .spectral import (
 )
 
 
-# Certificates of graphs up to this many vertices carry beta(H) by brute force.
+# Certificates of graphs up to this many vertices give beta(H) by brute force.
 BRUTE_CERT_LIMIT = 8
 
 # Rounds of one game that may fail Gaussian rounding and be retried.
@@ -133,8 +135,12 @@ class Witness:
 class Certificate:
     """T matched rounds: demand union H plus the spectral lower bound.
 
-    beta_H is the brute-forced ratio of H when the graph is small enough,
-    else None; lambda_min of the accumulated quadratic forms always lower
+    ``beta_H`` is the brute-forced ratio of H under the input's vertex
+    weights ``b`` when H has at most ``BRUTE_CERT_LIMIT`` vertices, else
+    None.  It is computed on its first read and then kept, so a caller that
+    never reads it, such as the max-cut recursion, which keeps only the
+    sweep's witness, never pays for the search; ``ratio_lower_bound()``
+    reads it.  lambda_min of the accumulated quadratic forms always lower
     bounds 2 * beta(H).
 
     The rerouting bound carries a factor two: the doubled version of H holds
@@ -149,13 +155,17 @@ class Certificate:
     union: DemandMultigraph
     records: tuple[RoundRecord, ...]
     lambda_min: float
-    beta_H: Ratio | None
+    b: tuple[int, ...]
 
     @property
     def rounds(self) -> int:
         return len(self.records)
 
     flow_solves = rounds  # one solve per matched round
+
+    @cached_property
+    def beta_H(self) -> Ratio | None:
+        return brute_beta(self.union, self.b)[0] if self.union.n <= BRUTE_CERT_LIMIT else None
 
     def ratio_lower_bound(self) -> float:
         base = float(self.beta_H) if self.beta_H is not None else max(self.lambda_min, 0.0) / 2.0
@@ -168,11 +178,14 @@ class CutFound:
 
 
 def play_round(net: FlowNetwork, state: MmwuState, rng: np.random.Generator,
-               max_attempts: int) -> CutFound | tuple[RoundRecord, MmwuState]:
+               max_attempts: int, weights: VertexWeights
+               ) -> CutFound | tuple[RoundRecord, MmwuState]:
     """Run one round: project, select, solve the flow, answer.
 
     ``net`` is the game's selection network at its k; the round re-selects
-    it for its own (L, empty).
+    it for its own (L, empty).  ``weights`` holds the vertex weights of
+    ``net``'s base graph, converted once per game and read by every
+    spectral call of the round.
 
     Returns CutFound with a witness sign vector when the selection is not
     well-linked at 1/k, otherwise the round's record (side, demand graph,
@@ -180,8 +193,8 @@ def play_round(net: FlowNetwork, state: MmwuState, rng: np.random.Generator,
     rounding exceeds its attempt budget.
     """
     b = net.aux.base.b
-    V = exact_gram_vectors(state, b)
-    rounded = gaussian_round(V, b, rng, max_attempts)
+    V = exact_gram_vectors(state, weights)
+    rounded = gaussian_round(V, weights, rng, max_attempts)
     net.select(rounded.L, frozenset())
     flow = max_flow(net)
     if not is_saturating(flow):
@@ -193,7 +206,7 @@ def play_round(net: FlowNetwork, state: MmwuState, rng: np.random.Generator,
         if degs[i] != want:
             raise AssertionError(
                 f"saturating round violates the demand degree law at vertex {i}")
-    F = demand_matrix(M, b)
+    F = demand_matrix(M, weights)
     # X shares V's cached factor, and only a matched round's record reads it.
     X = density_matrix(state)
     record = RoundRecord(tuple(sorted(rounded.L)), M, float(np.vdot(F, X)))
@@ -217,6 +230,7 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
     # Building it validates k.
     net = build_network(build_auxiliary_graph(G), range(G.n), (), k)
     k = net.k
+    weights = VertexWeights(G.b, G.n)  # checked and converted once per game
     prefix = seed_path if seed_path is not None else (params.seed,)
     rng = np.random.default_rng([*prefix, 1, k])
     state = MmwuState.initial(G.n)
@@ -224,7 +238,7 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
     restarts_left = RESTARTS
     while len(records) < params.rounds:
         try:
-            outcome = play_round(net, state, rng, params.max_attempts)
+            outcome = play_round(net, state, rng, params.max_attempts, weights)
         except RoundFail:
             restarts_left -= 1
             if restarts_left < 0:
@@ -239,8 +253,7 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
         record, state = outcome
         records.append(record)
     union = DemandMultigraph.union([r.demand for r in records], G.n)
-    beta_H = brute_beta(union, G.b)[0] if G.n <= BRUTE_CERT_LIMIT else None
-    return Certificate(k, union, tuple(records), lambda_min(state.accumulated), beta_H)
+    return Certificate(k, union, tuple(records), lambda_min(state.accumulated), G.b)
 
 
 @dataclass(frozen=True)

@@ -60,19 +60,58 @@ def _eigh(A: np.ndarray):
     return _symmetric_solve(np.linalg.eigh, A)
 
 
-def _vertex_weights(b, n: int, dtype) -> np.ndarray:
-    """``b`` as an array (of ``dtype``; None keeps b's own) holding one
-    weight per vertex, each at most ``MAX_VERTEX_WEIGHT``; ValueError
-    otherwise, so a short ``b`` is never broadcast over the rows and no
-    weight overflows a float downstream."""
-    array = np.asarray(b)
-    if array.shape != (n,):
-        raise ValueError(f"need {n} vertex weights, got shape {array.shape}")
-    if max(b, default=0) > MAX_VERTEX_WEIGHT:
-        i = next(i for i, bi in enumerate(b) if bi > MAX_VERTEX_WEIGHT)
-        raise ValueError(f"vertex {i} has weight above 2**1000, beyond the float "
-                         "range the spectral layer computes in")
-    return array if dtype is None else array.astype(dtype)
+class VertexWeights:
+    """One weight per vertex, checked once, each converted form computed on
+    first read and then kept.
+
+    Raises ValueError unless ``b`` holds ``n`` weights, none above
+    ``MAX_VERTEX_WEIGHT``, so a short ``b`` is never broadcast over the rows
+    and no weight overflows a float downstream.  A game converts its
+    graph's weights once and hands this object to every round's spectral
+    calls; those calls also take a plain sequence, which they check and
+    convert on each call.
+    """
+
+    def __init__(self, b, n: int):
+        array = np.asarray(b)
+        if array.shape != (n,):
+            raise ValueError(f"need {n} vertex weights, got shape {array.shape}")
+        if max(b, default=0) > MAX_VERTEX_WEIGHT:
+            i = next(i for i, bi in enumerate(b) if bi > MAX_VERTEX_WEIGHT)
+            raise ValueError(f"vertex {i} has weight above 2**1000, beyond the float "
+                             "range the spectral layer computes in")
+        self.n = n
+        self._array = array
+
+    @cached_property
+    def exact(self) -> list:
+        """The weights as Python numbers; Python ints stay exact."""
+        return self._array.tolist()
+
+    @cached_property
+    def floats(self) -> np.ndarray:
+        return self._array.astype(float)
+
+    @cached_property
+    def gram_scale(self) -> np.ndarray:
+        """b^{-1/2} as an n x 1 column, the row scale of the Gram vectors."""
+        return (1.0 / np.sqrt(self.floats))[:, None]
+
+    @cached_property
+    def demand_scales(self) -> tuple[list[float], list[float]]:
+        """b^{-1/2} and its square as Python float lists, for ``demand_matrix``."""
+        inv_sqrt = [1.0 / math.sqrt(x) for x in self.exact]  # np.sqrt rounds the same
+        return inv_sqrt, [x ** 2 for x in inv_sqrt]
+
+
+def _vertex_weights(b, n: int) -> VertexWeights:
+    """``b`` checked and converted for n vertices; converted weights pass
+    through once their count is checked."""
+    if isinstance(b, VertexWeights):
+        if b.n != n:
+            raise ValueError(f"need {n} vertex weights, got shape ({b.n},)")
+        return b
+    return VertexWeights(b, n)
 
 
 def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
@@ -82,9 +121,12 @@ def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
     c * D_b^{-1/2} (e_i + e_j)(e_i + e_j)^T D_b^{-1/2}; a self-loop at i
     contributes 4c / b(i) on the diagonal.  Under the degree cap
     deg_M(i) <= 2 b(i) the result has operator norm at most 4; the cap is
-    enforced, the norm bound is a consequence.
+    enforced, the norm bound is a consequence.  ``b`` is a ``VertexWeights``
+    of M's vertex count or a sequence of weights, checked as
+    ``VertexWeights`` checks it.
     """
-    b_list = _vertex_weights(b, M.n, None).tolist()  # Python ints stay exact
+    weights = _vertex_weights(b, M.n)
+    b_list = weights.exact
     degs = M.degrees()
     for i, bi in enumerate(b_list):
         if degs[i] > 2 * bi:
@@ -94,8 +136,7 @@ def demand_matrix(M: DemandMultigraph, b) -> np.ndarray:
     # in turn, without numpy scalar indexing.  Off the diagonal each key
     # (i < j) owns its entry and writes it into both triangles.
     n = M.n
-    inv_sqrt = [1.0 / math.sqrt(x) for x in b_list]  # np.sqrt rounds the same
-    inv_sqrt_sq = [x ** 2 for x in inv_sqrt]
+    inv_sqrt, inv_sqrt_sq = weights.demand_scales
     diag = [0.0] * n
     index: list[int] = []
     off: list[float] = []
@@ -164,12 +205,12 @@ def exact_gram_vectors(state: MmwuState, b) -> np.ndarray:
     """Gram vectors of D_b^{-1/2} X D_b^{-1/2} for the state's density
     matrix X: the n x n array V = D_b^{-1/2} Y, whose rows v_i satisfy
     <v_i, v_j> = (D_b^{-1/2} X D_b^{-1/2})_ij to eigensolver accuracy, read
-    from the state's cached factor with no further solve.  Raises ValueError
-    unless b holds one weight per vertex, none above ``MAX_VERTEX_WEIGHT``.
+    from the state's cached factor with no further solve.  ``b`` is a
+    ``VertexWeights`` or a sequence; ValueError unless it holds one weight
+    per vertex, none above ``MAX_VERTEX_WEIGHT``.
     """
     Y = state.factor
-    scale = 1.0 / np.sqrt(_vertex_weights(b, Y.shape[0], float))
-    return Y * scale[:, None]
+    return Y * _vertex_weights(b, Y.shape[0]).gram_scale
 
 
 def taylor_apply_exp_half(A: np.ndarray, U: np.ndarray, order: int) -> np.ndarray:
@@ -212,7 +253,7 @@ def approx_gram_vectors(accumulated: np.ndarray, b,
     n = accumulated.shape[0]
     if n == 0:
         raise ValueError("sketched Gram vectors need at least one vertex")
-    b = _vertex_weights(b, n, float)
+    b = _vertex_weights(b, n).floats
     tau = min(1.0 / (12.0 * n**1.5), 1e-9)
     A = -DELTA * (accumulated + accumulated.T) / 2.0
     dim = max(1, math.ceil(32.0 * math.log(max(n, 2)) / SKETCH_EPS**2))
@@ -244,9 +285,10 @@ def gaussian_round(V: np.ndarray, b, rng: np.random.Generator,
     probability at most e^{-1/16}).  The side with the larger mass becomes
     L, ties keeping the positive side.  Raises RoundFail after
     ``max_attempts`` rejections, and ValueError, before any draw, unless b
-    holds one weight per row of V, none above ``MAX_VERTEX_WEIGHT``.
+    (a ``VertexWeights`` or a sequence) holds one weight per row of V, none
+    above ``MAX_VERTEX_WEIGHT``.
     """
-    b = _vertex_weights(b, V.shape[0], float)
+    b = _vertex_weights(b, V.shape[0]).floats
     for attempt in range(1, max_attempts + 1):
         g = rng.standard_normal(V.shape[1])
         values = V @ g

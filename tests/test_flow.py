@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
@@ -204,6 +205,79 @@ def test_consistent_cut_reuses_the_last_search(monkeypatch):
         consistent_min_cut(flow)
         assert calls == []
         seen += 1
+
+
+@pytest.mark.parametrize("cases", ["random", "selection-sweeps", "game-traffic"])
+def test_first_phase_runs_one_search_fewer_than_the_reference(cases, monkeypatch):
+    # The first phase reads its levels from the selection.  So a solve runs
+    # one BFS fewer than the reference of tests/test_flow_reference.py,
+    # which searches before every phase, when the reference's first phase
+    # reaches the sink at depth 3, and as many otherwise; replayed on that
+    # file's seeded cases, each network freshly selected.
+    import bipratio.flow as flow_mod
+    import bipratio.game as game
+    import test_flow_reference as ref
+
+    lib_calls, ref_calls = [], []
+    real_bfs, real_ref_bfs = flow_mod._bfs_levels, ref._ref_bfs_levels
+    monkeypatch.setattr(flow_mod, "_bfs_levels",
+                        lambda net: lib_calls.append(1) or real_bfs(net))
+    monkeypatch.setattr(ref, "_ref_bfs_levels",
+                        lambda net: ref_calls.append(1) or real_ref_bfs(net))
+    first_depth3 = Counter()
+
+    def solve_both(net, snapshot):
+        depth3 = real_ref_bfs(net)[net.sink] == 3
+        lib_calls.clear()
+        ref_calls.clear()
+        max_flow(net)
+        cap = list(net.cap)
+        ref._restore(net, *snapshot)
+        ref.ref_max_flow(net)
+        assert net.cap == cap
+        assert len(lib_calls) == len(ref_calls) - depth3
+        first_depth3[depth3] += 1
+
+    def snapshot(net):
+        return list(net.cap), list(net.cap0), net.A, net.B, net.b_A
+
+    if cases == "random":  # test_flow_round_matches_reference's draws
+        rng = np.random.default_rng(90125)
+        for _ in range(60):
+            G = ref._random_graph(rng)
+            net = build_network(build_auxiliary_graph(G), range(G.n), (),
+                                int(rng.integers(1, 5)))
+            for _ in range(4):
+                net.select(*ref._random_selection(rng, G.n))
+                solve_both(net, snapshot(net))
+                if rng.random() < 0.5:
+                    ref._inject_circulation(rng, [net])
+    elif cases == "selection-sweeps":  # test_max_flow_matches_reference_on_selection_sweeps'
+        rng = np.random.default_rng(77)
+        for _ in range(12):
+            n = int(rng.integers(2, 6))
+            G = random_test_graph(rng, n, w_max=3, random_b=bool(rng.integers(0, 2)))
+            net = build_network(build_auxiliary_graph(G), range(n), (),
+                                int(rng.integers(1, 5)))
+            for L, R in iter_symmetric_pairs(n):
+                net.select(L, R)
+                solve_both(net, snapshot(net))
+    else:  # every solve of the seeded sweep and max-cut recursions
+        solves = []
+        real_max_flow = game.max_flow
+
+        def spy(net):
+            solves.append((net, snapshot(net)))
+            return real_max_flow(net)
+
+        monkeypatch.setattr(game, "max_flow", spy)
+        ref._sweep_traffic()
+        ref._maxcut_traffic()
+        monkeypatch.setattr(game, "max_flow", real_max_flow)
+        for net, snap in solves:
+            ref._restore(net, *snap)
+            solve_both(net, snap)
+    assert min(first_depth3[True], first_depth3[False]) >= 10
 
 
 def test_decompose_zero_flow(single_edge):

@@ -433,3 +433,64 @@ def test_seeded_outputs_are_pinned():
     cut = recursive_bipart(G, GameParams(seed=1))
     assert cut.S == frozenset({2, 3, 6, 7, 8, 9, 10, 11})
     assert cut.value == Fraction(7, 8)
+
+
+def test_certificate_brute_forces_beta_H_on_first_read(monkeypatch):
+    # The game leaves beta(H) to the certificate's first read; the search
+    # runs once, and a read of the kept value, or of the bound that uses
+    # it, runs none.
+    import bipratio.game as game
+    from bipratio.generators import gnp
+
+    calls = []
+    real = game.brute_beta
+    monkeypatch.setattr(game, "brute_beta", lambda *a: calls.append(1) or real(*a))
+    G = gnp(8, 0.5, 3, seed=2)
+    cert = cut_matching_game(G, 64, GameParams(seed=1))
+    assert isinstance(cert, Certificate) and calls == []
+    assert cert.beta_H == brute_beta(cert.union, G.b)[0]
+    assert len(calls) == 1
+    assert cert.ratio_lower_bound() == float(cert.beta_H) / (2 * cert.k * cert.rounds)
+    assert len(calls) == 1
+    # Past BRUTE_CERT_LIMIT vertices there is no search: beta_H is None.
+    big = cut_matching_game(gnp(9, 0.5, 3, seed=2), 64, GameParams(seed=1, rounds=2))
+    assert isinstance(big, Certificate) and big.beta_H is None
+    assert len(calls) == 1
+
+
+def test_game_converts_its_vertex_weights_once(monkeypatch):
+    # One conversion per game, however many rounds it plays: every spectral
+    # call of every round receives the game's one VertexWeights.
+    import bipratio.game as game
+    import bipratio.spectral as spectral
+    from bipratio.generators import gnp
+
+    made, handed = [], []
+    real_init = spectral.VertexWeights.__init__
+
+    def counted_init(self, b, n):
+        made.append(1)
+        real_init(self, b, n)
+
+    def spy(name, position):
+        real = getattr(game, name)
+
+        def call(*args):
+            handed.append(args[position])
+            return real(*args)
+        monkeypatch.setattr(game, name, call)
+
+    monkeypatch.setattr(spectral.VertexWeights, "__init__", counted_init)
+    spy("exact_gram_vectors", 1)
+    spy("gaussian_round", 1)
+    spy("demand_matrix", 1)
+    G = gnp(10, 0.5, 3, seed=5)
+    for rounds in (4, 40):
+        made.clear()
+        handed.clear()
+        cert = cut_matching_game(G, 64, GameParams(seed=2, rounds=rounds))
+        assert isinstance(cert, Certificate) and cert.rounds == rounds
+        assert len(made) == 1
+        assert len(handed) >= 3 * rounds
+        assert all(w is handed[0] for w in handed)
+        assert isinstance(handed[0], spectral.VertexWeights)

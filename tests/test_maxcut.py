@@ -221,3 +221,26 @@ def test_sweep_frees_each_witness_game_after_its_summary(monkeypatch):
     res = game.approx_bipartiteness(gnp(20, 0.3, 3, seed=8), GameParams(seed=6))
     assert [(g.k, g.outcome) for g in res.games] == [
         (1, "witness"), (2, "witness"), (4, "certificate")]
+
+
+def test_maxcut_never_brute_forces_a_certificate(monkeypatch):
+    # A level keeps only its sweep's witness, so the certificates that end
+    # its sweeps are never asked for beta(H), and none is brute-forced,
+    # although every graph here is small enough for the search.
+    import bipratio.game as game
+    from bipratio import Certificate
+
+    searches, certificates = [], []
+    real_game = game.cut_matching_game
+
+    def tracked(*args):
+        out = real_game(*args)
+        certificates.append(isinstance(out, Certificate))
+        return out
+
+    monkeypatch.setattr(game, "brute_beta", lambda *a: searches.append(a))
+    monkeypatch.setattr(game, "cut_matching_game", tracked)
+    for seed in range(4):
+        recursive_bipart(gnp(8, 0.5, 3, seed=seed), GameParams(seed=seed))
+    assert sum(certificates) >= 4
+    assert searches == []
