@@ -170,104 +170,94 @@ def _bfs_levels(net: FlowNetwork) -> list[int]:
 
 
 def max_flow(net: FlowNetwork) -> FlowAssignment:
-    """Maximum integral source-sink flow via blocking flows on level graphs.
+    """Maximum integral source-sink flow via blocking flows on level graphs:
+    first phase from the selection, then plain Dinic; no later phase is at
+    depth 3, by Dinic's lemma.
 
-    Plain Dinic: each phase's BFS stops at the first level with a residual
-    sink arc, and the blocking flow takes the arcs of ``adj`` in order that
-    have residual and a head one level deeper; below that level lies only
-    the sink, so the augmenting paths are those of a full-depth search.  A
-    phase with the sink at level 3 (source -> source-side copy -> middle arc
-    -> sink-side copy -> sink) is walked in straight-line code; deeper
-    phases use a DFS.  The first phase reads its levels from the selection
-    instead of searching: on the fresh residuals that ``select`` leaves,
-    level 1 is the source side A (every selected source arc holds b >= 1)
-    and level 2 every other copy that a middle arc reaches, so it is walked
-    as a level-3 phase.  When the sink lies deeper, no level-2 copy has a
-    residual sink arc and that walk pushes nothing; the BFS then finds the
-    first phase as if it had run first.  The solve mutates the residuals in
-    place, so a network is solved once per selection (``FlowNetwork.select``
-    restores it), and audits itself: the residual source-side cut must equal
-    the flow.
+    On the fresh residuals that ``select`` leaves, level 1 is the source side
+    A and level 2 every other copy a middle arc reaches, so the first phase,
+    with the sink at level 3, is walked in straight-line code without a
+    search; when the sink lies deeper, that walk pushes nothing.  Each later
+    phase's BFS stops at the first level with a residual sink arc, and its
+    DFS takes the arcs of ``adj`` in order that have residual and a head one
+    level deeper.  The solve mutates the residuals in place, so a network is
+    solved once per selection (``FlowNetwork.select`` restores it), and
+    audits itself: the residual source-side cut must equal the flow.
     """
     if net.solved:
         raise RuntimeError("network already solved; select() a pair before solving again")
     adj, head, cap, sink_arc = net.adj, net.head, net.cap, net.sink_arc
-    s, t = net.source, net.sink
+    s, t, A = net.source, net.sink, net.A
     total = 0
-    level = [2] * net.n_nodes  # the first phase's levels, as read from A
-    for v in net.A:
-        level[v] = 1
-    level[s], level[t] = 0, 3
-    while True:
-        if level[t] == 3:
-            # The DFS's paths, without its stack: each source-side copy
-            # pushes along its middle arcs in order until its source arc is
-            # saturated, skipping heads whose sink arc is empty (dead).
-            for a0 in adj[s]:
-                room = cap[a0]
+    # The DFS's paths, without its stack: each copy in A pushes along its
+    # middle arcs in order until its source arc is saturated, skipping heads
+    # in A and heads whose sink arc is empty (dead).  Its terminal arcs hold
+    # no residual yet: the reverse source arc is credited after its walk.
+    for a0 in adj[s]:
+        room = cap[a0]
+        if not room:
+            continue
+        for a1 in adj[head[a0]]:
+            if not cap[a1] or head[a1] in A:
+                continue
+            a2 = sink_arc[head[a1]]
+            c2 = cap[a2]
+            if c2:
+                c1 = cap[a1]
+                aug = room if room < c1 else c1
+                if c2 < aug:
+                    aug = c2
+                cap[a1] = c1 - aug
+                cap[a1 ^ 1] += aug
+                cap[a2] = c2 - aug
+                cap[a2 ^ 1] += aug
+                room -= aug
                 if not room:
-                    continue
-                for a1 in adj[head[a0]]:
-                    if not cap[a1] or level[head[a1]] != 2:
-                        continue
-                    a2 = sink_arc[head[a1]]
-                    c2 = cap[a2]
-                    if c2:
-                        c1 = cap[a1]
-                        aug = room if room < c1 else c1
-                        if c2 < aug:
-                            aug = c2
-                        cap[a1] = c1 - aug
-                        cap[a1 ^ 1] += aug
-                        cap[a2] = c2 - aug
-                        cap[a2 ^ 1] += aug
-                        room -= aug
-                        if not room:
-                            break
-                pushed = cap[a0] - room
-                cap[a0] = room
-                cap[a0 ^ 1] += pushed
-                total += pushed
-        else:
-            it = [0] * net.n_nodes
-            path: list[int] = []
-            u = s
-            while True:
-                if u == t:
-                    # The first arc of least residual is the first one saturated.
-                    aug, cut = cap[path[0]], 0
-                    for idx in range(1, len(path)):
-                        c = cap[path[idx]]
-                        if c < aug:
-                            aug, cut = c, idx
-                    total += aug
-                    for a in path:
-                        cap[a] -= aug
-                        cap[a ^ 1] += aug
-                    u = head[path[cut] ^ 1]
-                    del path[cut:]
-                    continue
-                arcs = adj[u]
-                i, end, nxt = it[u], len(arcs), level[u] + 1
-                while i < end:
-                    a = arcs[i]
-                    if cap[a] > 0 and level[head[a]] == nxt:
-                        break
-                    i += 1
-                it[u] = i
-                if i < end:
-                    path.append(a)
-                    u = head[a]
-                    continue
-                if u == s:
                     break
-                level[u] = -1
-                a = path.pop()
-                u = head[a ^ 1]
-                it[u] += 1
+        pushed = cap[a0] - room
+        cap[a0] = room
+        cap[a0 ^ 1] += pushed
+        total += pushed
+    while True:
         level = _bfs_levels(net)
         if level[t] < 0:
             break
+        it = [0] * net.n_nodes
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                # The first arc of least residual is the first one saturated.
+                aug, cut = cap[path[0]], 0
+                for idx in range(1, len(path)):
+                    c = cap[path[idx]]
+                    if c < aug:
+                        aug, cut = c, idx
+                total += aug
+                for a in path:
+                    cap[a] -= aug
+                    cap[a ^ 1] += aug
+                u = head[path[cut] ^ 1]
+                del path[cut:]
+                continue
+            arcs = adj[u]
+            i, end, nxt = it[u], len(arcs), level[u] + 1
+            while i < end:
+                a = arcs[i]
+                if cap[a] > 0 and level[head[a]] == nxt:
+                    break
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(a)
+                u = head[a]
+                continue
+            if u == s:
+                break
+            level[u] = -1
+            a = path.pop()
+            u = head[a ^ 1]
+            it[u] += 1
     net.solved = True
     # The last search could not reach the sink: what it reached is the
     # residual source side.

@@ -213,15 +213,22 @@ def test_first_phase_runs_one_search_fewer_than_the_reference(cases, monkeypatch
     # one BFS fewer than the reference of tests/test_flow_reference.py,
     # which searches before every phase, when the reference's first phase
     # reaches the sink at depth 3, and as many otherwise; replayed on that
-    # file's seeded cases, each network freshly selected.
+    # file's seeded cases, each network freshly selected.  No search the
+    # library runs finds the sink at depth 3 (Dinic's lemma), which is why
+    # only the first phase is walked at that depth.
     import bipratio.flow as flow_mod
     import bipratio.game as game
     import test_flow_reference as ref
 
-    lib_calls, ref_calls = [], []
+    lib_calls, ref_calls = [], []  # the library's: each search's sink level
     real_bfs, real_ref_bfs = flow_mod._bfs_levels, ref._ref_bfs_levels
-    monkeypatch.setattr(flow_mod, "_bfs_levels",
-                        lambda net: lib_calls.append(1) or real_bfs(net))
+
+    def lib_bfs(net):
+        level = real_bfs(net)
+        lib_calls.append(level[net.sink])
+        return level
+
+    monkeypatch.setattr(flow_mod, "_bfs_levels", lib_bfs)
     monkeypatch.setattr(ref, "_ref_bfs_levels",
                         lambda net: ref_calls.append(1) or real_ref_bfs(net))
     first_depth3 = Counter()
@@ -236,6 +243,7 @@ def test_first_phase_runs_one_search_fewer_than_the_reference(cases, monkeypatch
         ref.ref_max_flow(net)
         assert net.cap == cap
         assert len(lib_calls) == len(ref_calls) - depth3
+        assert 3 not in lib_calls
         first_depth3[depth3] += 1
 
     def snapshot(net):

@@ -96,6 +96,40 @@ def test_flow_decomposition_rejects_congestion_above_capacity(monkeypatch):
     assert detail.startswith("congestion above w*k on edge")
 
 
+def test_certificate_soundness_searches_each_ratio_once(monkeypatch):
+    # beta(G) per run in the check, beta(H) per certificate in the game on
+    # its first read; the check reuses that value instead of searching again.
+    import bipratio.game as game
+    import bipratio.verify as verify
+
+    calls = []
+    real_brute = verify.brute_beta
+
+    def spy(G, b=None):
+        calls.append(G.n)
+        return real_brute(G, b)
+
+    monkeypatch.setattr(verify, "brute_beta", spy)
+    monkeypatch.setattr(game, "brute_beta", spy)
+    ok, detail = verify.check_certificate_soundness(trials=10)
+    assert ok, detail
+    assert len(calls) == 20
+
+
+def test_rounding_acceptance_runs_the_library_rounding(monkeypatch):
+    # Criterion 11 counts the rejections of gaussian_round itself, so a
+    # rounding that never accepts reads as a rejection rate of one.
+    import bipratio.verify as verify
+    from bipratio.errors import RoundFail
+
+    def never(V, b, rng, max_attempts):
+        raise RoundFail("rejects every sample")
+
+    monkeypatch.setattr(verify, "gaussian_round", never)
+    assert verify.check_rounding_acceptance(n=4, trials=50) == (
+        False, "rejection rate 1.0000 <= 0.9694")
+
+
 def test_maxcut_bound_moves_past_bipartite_draws():
     # At n = 6 and seed 2 every early draw is bipartite (eta = 0); a skipped
     # draw must move the generator seed, or the check loops forever.  The
