@@ -17,9 +17,14 @@ its own ratio - lower bounded by half the smallest eigenvalue of the
 accumulated quadratic forms - pushes down to a ratio lower bound of
 beta(H) / (2 k T) for the input.
 
+A game keeps a memo from each matched side to its demand graph, so a side
+the cut player proposes again costs no second flow solve.
+
 The sweep runs k over powers of two, upward from 1, and stops at the first
 certificate; the witness from the previous level then sits within a factor
-two of the certified ratio.
+two of the certified ratio.  On desk-scale graphs it knows beta(G) by brute
+force and leaves unplayed a game whose only possible end is a certificate,
+playing it when the certificate is first read.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -128,6 +134,11 @@ class Witness:
 
     @property
     def flow_solves(self) -> int:
+        """Selections answered: one per matched round, plus the defeated one.
+
+        A side met again in the game reuses its kept answer, so ``max_flow``
+        ran once per distinct matched side, plus once for the defeat.
+        """
         return self.rounds + 1
 
 
@@ -161,7 +172,11 @@ class Certificate:
     def rounds(self) -> int:
         return len(self.records)
 
-    flow_solves = rounds  # one solve per matched round
+    @property
+    def flow_solves(self) -> int:
+        """Selections answered, one per matched round; ``max_flow`` ran once
+        per distinct side among them."""
+        return self.rounds
 
     @cached_property
     def beta_H(self) -> Ratio | None:
@@ -178,38 +193,47 @@ class CutFound:
 
 
 def play_round(net: FlowNetwork, state: MmwuState, rng: np.random.Generator,
-               max_attempts: int, weights: VertexWeights
+               max_attempts: int, weights: VertexWeights,
+               solved: dict[tuple[int, ...], DemandMultigraph]
                ) -> CutFound | tuple[RoundRecord, MmwuState]:
     """Run one round: project, select, solve the flow, answer.
 
     ``net`` is the game's selection network at its k; the round re-selects
     it for its own (L, empty).  ``weights`` holds the vertex weights of
     ``net``'s base graph, converted once per game and read by every
-    spectral call of the round.
+    spectral call of the round.  ``solved`` is the game's memo from each
+    side it has matched, as the sorted tuple a record keeps, to that side's
+    demand graph.  A side met again skips the selection, the flow, its
+    decomposition and the degree-law check, and reuses the graph kept:
+    ``select`` restores every residual and the max-flow is deterministic,
+    so a new solve would return the same one.  A new matched side is added.
 
     Returns CutFound with a witness sign vector when the selection is not
     well-linked at 1/k, otherwise the round's record (side, demand graph,
     tr(F X)) and the state advanced by F.  Raises RoundFail when Gaussian
     rounding exceeds its attempt budget.
     """
-    b = net.aux.base.b
     V = exact_gram_vectors(state, weights)
     rounded = gaussian_round(V, weights, rng, max_attempts)
-    net.select(rounded.L, frozenset())
-    flow = max_flow(net)
-    if not is_saturating(flow):
-        return CutFound(consistent_min_cut(flow))
-    M = demand_graph(decompose_flow(flow), net)
-    degs = M.degrees()
-    for i, bi in enumerate(b):
-        want = 2 * bi if i in rounded.L else 0
-        if degs[i] != want:
-            raise AssertionError(
-                f"saturating round violates the demand degree law at vertex {i}")
+    side = tuple(sorted(rounded.L))
+    M = solved.get(side)
+    if M is None:
+        net.select(rounded.L, frozenset())
+        flow = max_flow(net)
+        if not is_saturating(flow):
+            return CutFound(consistent_min_cut(flow))
+        M = demand_graph(decompose_flow(flow), net)
+        degs = M.degrees()
+        for i, bi in enumerate(net.aux.base.b):
+            want = 2 * bi if i in rounded.L else 0
+            if degs[i] != want:
+                raise AssertionError(
+                    f"saturating round violates the demand degree law at vertex {i}")
+        solved[side] = M
     F = demand_matrix(M, weights)
     # X shares V's cached factor, and only a matched round's record reads it.
     X = density_matrix(state)
-    record = RoundRecord(tuple(sorted(rounded.L)), M, float(np.vdot(F, X)))
+    record = RoundRecord(side, M, float(np.vdot(F, X)))
     return record, state.advance(F)
 
 
@@ -235,10 +259,11 @@ def cut_matching_game(G: WeightedGraph, k: int, params: GameParams | None = None
     rng = np.random.default_rng([*prefix, 1, k])
     state = MmwuState.initial(G.n)
     records: list[RoundRecord] = []
+    solved: dict[tuple[int, ...], DemandMultigraph] = {}
     restarts_left = RESTARTS
     while len(records) < params.rounds:
         try:
-            outcome = play_round(net, state, rng, params.max_attempts, weights)
+            outcome = play_round(net, state, rng, params.max_attempts, weights, solved)
         except RoundFail:
             restarts_left -= 1
             if restarts_left < 0:
@@ -267,16 +292,31 @@ class GameSummary:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Best witness plus the certificate at the largest certified ratio."""
+    """Best witness plus the certificate at the largest certified ratio.
+
+    ``cert_source`` is the certificate that ended the sweep, or the unplayed
+    game that yields it when the sweep proved the outcome without playing
+    (see ``approx_bipartiteness``), or None.  ``certificate`` plays such a
+    game on its first read and keeps the result, so a failure of that game
+    (GameFailed, NumericalFailure) is raised by that read.  ``r_cert`` and
+    ``flow_solves`` come from ``games`` and never play it.
+    """
 
     x_best: SignVector
     beta: Ratio
-    certificate: Certificate | None
+    cert_source: Certificate | Callable[[], Certificate] | None
     games: tuple[GameSummary, ...]
+
+    @cached_property
+    def certificate(self) -> Certificate | None:
+        source = self.cert_source
+        return source() if callable(source) else source
 
     @property
     def r_cert(self) -> Ratio | None:
-        return Fraction(1, self.certificate.k) if self.certificate is not None else None
+        if self.games and self.games[-1].outcome == "certificate":
+            return Fraction(1, self.games[-1].k)
+        return None
 
     @property
     def flow_solves(self) -> int:
@@ -315,13 +355,32 @@ def approx_bipartiteness(G: WeightedGraph, params: GameParams | None = None,
     exists; a zero ratio is always found exactly when the graph admits one,
     because the last sweep level forces any witness below the smallest
     positive ratio.
+
+    On a graph of at most ``BRUTE_CERT_LIMIT`` vertices the sweep checks
+    the settings and vertex weights as a game would, brute-forces beta(G)
+    once, and does not play the game at the first k with k * beta(G) >= 1.
+    That game can only end in its T-round certificate: a witness would have
+    ratio below 1/k <= beta(G).  Its summary reads T rounds and T flow
+    solves, and the game is played on the first read of the result's
+    ``certificate``, which also raises any GameFailed or NumericalFailure
+    it meets; a caller that keeps only the witness never plays it.
     """
+    beta_G: Ratio | None = None
+    if G.n <= BRUTE_CERT_LIMIT:
+        # Bad settings or weights fail here as the first game would fail.
+        rounds = (params or GameParams()).resolve(G.n).rounds
+        VertexWeights(G.b, G.n)
+        beta_G = brute_beta(G)[0]
     best_x: SignVector | None = None
     best_beta: Ratio | None = None
-    cert: Certificate | None = None
+    cert: Certificate | Callable[[], Certificate] | None = None
     games: list[GameSummary] = []
     for j in range(sweep_k_limit(G) + 1):
         k = 2**j
+        if beta_G is not None and k * beta_G >= 1:
+            games.append(GameSummary(k, "certificate", None, rounds, rounds))
+            cert = partial(cut_matching_game, G, k, params, seed_path)
+            break
         outcome = cut_matching_game(G, k, params, seed_path)
         witness = isinstance(outcome, Witness)
         games.append(GameSummary(k, "witness" if witness else "certificate",

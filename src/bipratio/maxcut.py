@@ -126,8 +126,9 @@ def _solve_level(G: WeightedGraph, ids: tuple[int, ...], level: int,
     # depth never exceeds that graph's vertex count.
     if level > n_top:
         raise AssertionError("recursion depth exceeded the vertex count")
-    # Only the witness is read here: dropping the sweep frees its certificate
-    # before the deeper levels run.
+    # Only the witness is read here: a certificate the sweep deferred is never
+    # played, and dropping the sweep frees one it played before the deeper
+    # levels run.
     res = approx_bipartiteness(G, params, seed_path=(params.seed, 2, level))
     x_best, beta = res.x_best, res.beta
     del res

@@ -66,14 +66,15 @@ def brute_beta(graph, b=None) -> tuple[Ratio, SignVector]:
     (digits 0, 1, 2 as 0, +1, -1; vertex 0 most significant), those whose
     first nonzero entry is -1 skipped (x ~ -x), and one replaces the best
     only when strictly smaller, by integer cross-multiplication: in int64
-    while a numerator (at most 2 w(E)) times a denominator (at most b(V))
-    fits, else in Python ints.  The high half is vertices [0, n/2); an edge
+    while a numerator (at most 2 w(E), and at least 1 in the bound) times a
+    denominator (at most b(V)) fits, else in Python ints.  The high half is vertices [0, n/2); an edge
     between the halves adds x_u x_v + |x_u| (1 - |x_v|) + |x_v|.
     """
     if (n := graph.n) > 16:
         raise TooLargeError(f"brute_beta enumerates 3^n vectors; n = {n} > 16")
     b_list = [int(x) for x in (graph.b if b is None else b)]
-    dtype = _sum_dtype(2 * sum(w for _, _, w in graph.weighted_edges()) * sum(b_list))
+    # The denominators alone reach b(V), which must fit even with no edges.
+    dtype = _sum_dtype(max(2 * sum(w for _, _, w in graph.weighted_edges()), 1) * sum(b_list))
     b_arr, h = np.asarray(b_list, dtype=dtype), n // 2
     hi, lo = _table(h, _SIGNS), _table(n - h, _SIGNS)
     (num_hi, num_lo), W = _half_sums(graph.weighted_edges(), (hi, lo),

@@ -209,6 +209,15 @@ def test_degree_cap_is_exact_beyond_float_precision(k3_file, tmp_path, capsys):
     assert f"beta = 2/{3 * B} " in capsys.readouterr().out
 
 
+def test_exact_edgeless_graph_with_heavy_weights(tmp_path, capsys):
+    # b(V) = 2**63 + 1 is past int64 even though no edge weighs anything.
+    graph, weights = tmp_path / "g.txt", tmp_path / "b.txt"
+    graph.write_text("2 0\n")
+    weights.write_text(f"{2**63}\n1\n")
+    assert main(["exact", "--graph", str(graph), "--weights", str(weights)]) == 0
+    assert capsys.readouterr().out.startswith("beta = 0/1 (0)\n")
+
+
 @pytest.mark.parametrize("rounds", ["0", "-1"])
 def test_approx_rounds_below_one_exit_code(rounds, k3_file):
     proc = run_cli(["approx", "--graph", k3_file, "--rounds", rounds])

@@ -134,7 +134,9 @@ def test_match_rounds_respect_norm_cap(k3):
 
 def test_certificate_congestion_per_round(k3, monkeypatch):
     # Demand graphs keep only their pairs, so each matched round's per-copy
-    # load is counted from the walks its flow decomposes into.
+    # load is counted from the walks its flow decomposes into.  A game
+    # solves each distinct side once, in the order the sides first occur,
+    # and a round on a repeated side carries the load of that one solve.
     from bipratio import game
 
     loads = []
@@ -152,7 +154,9 @@ def test_certificate_congestion_per_round(k3, monkeypatch):
     monkeypatch.setattr(game, "decompose_flow", recorded)
     out = cut_matching_game(k3, 3, GameParams(seed=2))
     assert isinstance(out, Certificate)
-    assert len(loads) == out.rounds
+    sides = list(dict.fromkeys(r.side for r in out.records))
+    assert len(loads) == len(sides) < out.rounds
+    loads = [loads[sides.index(r.side)] for r in out.records]
     for e, (_, _, w) in enumerate(k3.edges):
         for tag in ((e, 0), (e, 1)):
             assert all(load.get(tag, 0) <= w * out.k for load in loads)
@@ -263,37 +267,52 @@ def test_regret_inequality_on_certificates():
 
 
 def test_flow_solves_count_the_max_flow_calls(monkeypatch):
-    # One solve per matched round, plus the defeated selection of a witness;
-    # a round retried after a rounding failure solves nothing.
+    # flow_solves counts the selections answered: one per matched round,
+    # plus the defeated selection of a witness; a round retried after a
+    # rounding failure answers nothing.  max_flow runs once per distinct
+    # matched side of a game, plus once for the defeated selection.
     import bipratio.game as game
     from bipratio.generators import gnp
 
-    solves, failures = [], []
-    real_flow, real_round = game.max_flow, game.gaussian_round
+    solves, answered, failures = [], [], []
+    real_flow, real_round, real_game = game.max_flow, game.gaussian_round, game.cut_matching_game
 
     def counted_round(*args):
         try:
-            return real_round(*args)
+            rounded = real_round(*args)
         except RoundFail:
             failures.append(1)
             raise
+        answered.append(1)
+        return rounded
+
+    def distinct_solves(out):
+        return len({r.side for r in out.records}) + isinstance(out, Witness)
 
     monkeypatch.setattr(game, "max_flow", lambda net: solves.append(1) or real_flow(net))
     monkeypatch.setattr(game, "gaussian_round", counted_round)
     monkeypatch.setattr(game, "RESTARTS", 10**6)
     G = gnp(12, 0.5, 3, seed=4)
     params = GameParams(seed=3, max_attempts=1)
-    kinds = set()
+    kinds, repeated = set(), 0
     for k in (1, 2, 64):
         solves.clear()
+        answered.clear()
         out = cut_matching_game(G, k, params)
         kinds.add(type(out))
-        assert out.flow_solves == len(solves)
+        assert out.flow_solves == len(answered)
+        assert len(solves) == distinct_solves(out)
         assert out.rounds == len(out.records)
-    assert kinds == {Witness, Certificate} and failures
+        repeated += out.flow_solves - len(solves)
+    assert kinds == {Witness, Certificate} and failures and repeated
     solves.clear()
+    answered.clear()
+    played = []
+    monkeypatch.setattr(game, "cut_matching_game",
+                        lambda *a: played.append(real_game(*a)) or played[-1])
     res = approx_bipartiteness(G, params)
-    assert res.flow_solves == len(solves) == sum(g.flow_solves for g in res.games)
+    assert res.flow_solves == len(answered) == sum(g.flow_solves for g in res.games)
+    assert len(solves) == sum(distinct_solves(out) for out in played)
 
 
 def test_one_eigensolve_per_round(monkeypatch):
@@ -494,3 +513,98 @@ def test_game_converts_its_vertex_weights_once(monkeypatch):
         assert len(handed) >= 3 * rounds
         assert all(w is handed[0] for w in handed)
         assert isinstance(handed[0], spectral.VertexWeights)
+
+
+def test_game_solves_each_distinct_side_once(k3, monkeypatch):
+    # The seeded triangle game at k = 3 matches 16 rounds on 7 distinct
+    # sides.  A repeated side reuses the demand graph of its first round,
+    # and every record's graph is the one a fresh solve of its side gives.
+    import bipratio.game as game
+    from bipratio.flow import build_network, decompose_flow, demand_graph, max_flow
+    from bipratio.graph import build_auxiliary_graph
+
+    solves = []
+    real_flow = game.max_flow
+    monkeypatch.setattr(game, "max_flow", lambda net: solves.append(1) or real_flow(net))
+    out = cut_matching_game(k3, 3, GameParams(seed=2))
+    assert isinstance(out, Certificate) and out.rounds == 16
+    first = {}
+    for rec in out.records:
+        assert rec.demand is first.setdefault(rec.side, rec.demand)
+    assert len(first) == len(solves) == 7
+    net = build_network(build_auxiliary_graph(k3), range(k3.n), (), 3)
+    for rec in out.records:
+        net.select(frozenset(rec.side), frozenset())
+        assert rec.demand == demand_graph(decompose_flow(max_flow(net)), net)
+
+
+def test_game_at_a_ratio_guess_below_beta_ends_in_a_certificate():
+    # At the first power of two k with k * beta(G) >= 1 a witness would
+    # need a ratio below 1/k <= beta(G), so the game can only certificate:
+    # the fact that lets the sweep defer that game.  Degree weights and
+    # other weights alike.
+    rng = np.random.default_rng(41)
+    played = 0
+    for run in range(140):
+        n = int(rng.integers(2, 9))
+        G = random_test_graph(rng, n, w_max=3, p=0.7)
+        for H in (G, G.with_b(tuple(int(x) for x in rng.integers(1, 6, size=n)))):
+            beta = brute_beta(H)[0]
+            if beta == 0:
+                continue
+            k = 1
+            while k * beta < 1:
+                k *= 2
+            out = cut_matching_game(H, k, GameParams(seed=run))
+            assert isinstance(out, Certificate), (H, k)
+            played += 1
+    assert played >= 150
+
+
+def test_deferred_certificate_is_played_on_first_read(monkeypatch):
+    # Seed 0 on this G(8, 1/2) reaches k = 4 with 4 * beta(G) = 1, so the
+    # sweep summarizes that game without playing it.  Everything but the
+    # certificate reads from the summaries; the certificate is played once,
+    # on its first read, and equals the game played directly.
+    import bipratio.game as game
+    from bipratio.generators import gnp
+
+    played = []
+    real_game = game.cut_matching_game
+    monkeypatch.setattr(game, "cut_matching_game",
+                        lambda *a: played.append(a[1]) or real_game(*a))
+    G, params = gnp(8, 0.5, 3, seed=0), GameParams(seed=0)
+    assert 4 * brute_beta(G)[0] == 1
+    res = approx_bipartiteness(G, params)
+    assert played == [1, 2]
+    T = params.resolve(G.n).rounds
+    assert res.games[-1] == game.GameSummary(4, "certificate", None, T, T)
+    assert (res.r_cert, res.flow_solves) == (Fraction(1, 4), sum(g.flow_solves for g in res.games))
+    assert res.beta == evaluate_beta(G, res.x_best) <= 2 * res.r_cert
+    assert played == [1, 2]
+    cert = res.certificate
+    assert played == [1, 2, 4] and res.certificate is cert
+    direct = real_game(G, 4, params, None)
+    assert isinstance(cert, Certificate) and cert.rounds == T
+    assert [r.demand.pairs for r in cert.records] == [r.demand.pairs for r in direct.records]
+    assert (cert.lambda_min, cert.beta_H) == (direct.lambda_min, direct.beta_H)
+    assert played == [1, 2, 4]
+
+
+def test_deferred_certificate_failure_surfaces_on_first_read(monkeypatch):
+    # A triangle of weight-3 edges under unit vertex weights has beta = 2,
+    # so the sweep plays no game at all; a failure of the deferred game is
+    # raised by the read of the certificate, not by the sweep.
+    import bipratio.game as game
+    from bipratio.game import GameSummary
+
+    def never_accepts(*args):
+        raise RoundFail("no acceptable sample")
+
+    monkeypatch.setattr(game, "gaussian_round", never_accepts)
+    G = WeightedGraph(3, ((0, 1, 3), (1, 2, 3), (0, 2, 3)), (1, 1, 1))
+    res = approx_bipartiteness(G, GameParams(seed=11))
+    assert res.games == (GameSummary(1, "certificate", None, 16, 16),)
+    assert res.r_cert == 1
+    with pytest.raises(GameFailed, match="restart budget"):
+        res.certificate

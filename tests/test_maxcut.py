@@ -225,22 +225,61 @@ def test_sweep_frees_each_witness_game_after_its_summary(monkeypatch):
 
 def test_maxcut_never_brute_forces_a_certificate(monkeypatch):
     # A level keeps only its sweep's witness, so the certificates that end
-    # its sweeps are never asked for beta(H), and none is brute-forced,
-    # although every graph here is small enough for the search.
+    # its sweeps are never asked for beta(H), and no search runs on a demand
+    # union, although every graph here is small enough for it.  The one
+    # search per level is the sweep's own beta(G).
     import bipratio.game as game
+    import bipratio.maxcut as maxcut
     from bipratio import Certificate
+    from bipratio.flow import DemandMultigraph
 
-    searches, certificates = [], []
-    real_game = game.cut_matching_game
+    searches, certificates, levels = [], [], []
+    real_game, real_brute, real_sweep = (game.cut_matching_game, game.brute_beta,
+                                         maxcut.approx_bipartiteness)
 
     def tracked(*args):
         out = real_game(*args)
         certificates.append(isinstance(out, Certificate))
         return out
 
-    monkeypatch.setattr(game, "brute_beta", lambda *a: searches.append(a))
+    def level(G, params, seed_path):
+        levels.append(G)
+        return real_sweep(G, params, seed_path=seed_path)
+
+    monkeypatch.setattr(game, "brute_beta", lambda *a: searches.append(a[0]) or real_brute(*a))
     monkeypatch.setattr(game, "cut_matching_game", tracked)
+    monkeypatch.setattr(maxcut, "approx_bipartiteness", level)
     for seed in range(4):
         recursive_bipart(gnp(8, 0.5, 3, seed=seed), GameParams(seed=seed))
     assert sum(certificates) >= 4
-    assert searches == []
+    assert not any(isinstance(G, DemandMultigraph) for G in searches)
+    assert all(G.n <= game.BRUTE_CERT_LIMIT for G in levels)
+    assert [id(G) for G in searches] == [id(G) for G in levels]
+
+
+def test_maxcut_plays_no_game_it_could_only_certificate(monkeypatch):
+    # Max-cut reads no certificate, so on level graphs of at most
+    # BRUTE_CERT_LIMIT vertices it never plays a game at k * beta >= 1.
+    # Seeds 6 and 10 reach such a k; the others certificate before it.
+    import bipratio.game as game
+    import bipratio.maxcut as maxcut
+    from bipratio import brute_beta
+
+    played, deferred = [], []
+    real_game, real_sweep = game.cut_matching_game, maxcut.approx_bipartiteness
+
+    def tracked(G, k, params, seed_path):
+        played.append((G, k))
+        return real_game(G, k, params, seed_path)
+
+    def level(G, params, seed_path):
+        res = real_sweep(G, params, seed_path=seed_path)
+        deferred.append(callable(res.cert_source))
+        return res
+
+    monkeypatch.setattr(game, "cut_matching_game", tracked)
+    monkeypatch.setattr(maxcut, "approx_bipartiteness", level)
+    for seed in range(12):
+        recursive_bipart(gnp(8, 0.5, 3, seed=seed), GameParams(seed=seed))
+    assert played and sum(deferred) == 2
+    assert all(k * brute_beta(G)[0] < 1 for G, k in played)

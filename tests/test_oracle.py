@@ -125,6 +125,11 @@ def test_brute_beta_large_weights_stay_exact():
     assert (beta, x) == _reference_beta(G, G.b)
 
 
+def test_brute_beta_edgeless_heavy_weights_stay_exact():
+    # With no edges 2 w(E) b(V) is 0, but the denominators still reach b(V).
+    assert brute_beta(WeightedGraph(2, (), (2**63, 1))) == (0, (0, 1))
+
+
 def test_brute_maxcut_large_weights_stay_exact():
     # w(E) = 2^63 + 1 is past int64; the best side is the middle vertex.
     G = WeightedGraph(3, ((0, 1, 2**62), (1, 2, 2**62), (0, 2, 1)))

@@ -97,23 +97,33 @@ def test_flow_decomposition_rejects_congestion_above_capacity(monkeypatch):
 
 
 def test_certificate_soundness_searches_each_ratio_once(monkeypatch):
-    # beta(G) per run in the check, beta(H) per certificate in the game on
-    # its first read; the check reuses that value instead of searching again.
+    # beta(G) once per run in the check and once per sweep, which proves its
+    # last game without playing it; beta(H) once per certificate, in the
+    # game on its first read, which the check reuses instead of searching.
     import bipratio.game as game
     import bipratio.verify as verify
+    from bipratio.flow import DemandMultigraph
 
-    calls = []
-    real_brute = verify.brute_beta
+    checked, in_game, sweeps = [], [], []
+    real_brute, real_sweep = verify.brute_beta, verify.approx_bipartiteness
 
-    def spy(G, b=None):
-        calls.append(G.n)
-        return real_brute(G, b)
+    def spy(calls):
+        return lambda G, b=None: calls.append(G) or real_brute(G, b)
 
-    monkeypatch.setattr(verify, "brute_beta", spy)
-    monkeypatch.setattr(game, "brute_beta", spy)
+    def sweep(G, params):
+        sweeps.append(G)
+        return real_sweep(G, params)
+
+    monkeypatch.setattr(verify, "brute_beta", spy(checked))
+    monkeypatch.setattr(game, "brute_beta", spy(in_game))
+    monkeypatch.setattr(verify, "approx_bipartiteness", sweep)
     ok, detail = verify.check_certificate_soundness(trials=10)
     assert ok, detail
-    assert len(calls) == 20
+    assert len(checked) == 10 and not any(isinstance(G, DemandMultigraph) for G in checked)
+    unions = [G for G in in_game if isinstance(G, DemandMultigraph)]
+    assert len(unions) == 10
+    assert [id(G) for G in in_game if not isinstance(G, DemandMultigraph)] \
+        == [id(G) for G in sweeps]
 
 
 def test_rounding_acceptance_runs_the_library_rounding(monkeypatch):
