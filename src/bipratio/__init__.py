@@ -63,7 +63,7 @@ from .graph import (
 )
 from .graphio import dump_graph, dumps_graph, load_graph, loads_graph
 from .maxcut import CutResult, cut_value, induced_subgraph, recursive_bipart
-from .oracle import brute_beta, brute_maxcut, brute_well_linked
+from .oracle import brute_beta, brute_beta_one_sided, brute_maxcut, brute_well_linked
 from .spectral import (
     MmwuState,
     RoundedCut,

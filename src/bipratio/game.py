@@ -22,9 +22,13 @@ the cut player proposes again costs no second flow solve.
 
 The sweep runs k over powers of two, upward from 1, and stops at the first
 certificate; the witness from the previous level then sits within a factor
-two of the certified ratio.  On desk-scale graphs it knows beta(G) by brute
-force and leaves unplayed a game whose only possible end is a certificate,
-playing it when the certificate is first read.
+two of the certified ratio.  The cut player proposes only one-sided
+selections (L, empty), and every one of them saturates at 1/k exactly when
+k * beta_1(G) >= 1, with beta_1 the one-sided ratio of
+``oracle.brute_beta_one_sided``.  On desk-scale graphs the sweep knows
+beta_1(G) by brute force and leaves unplayed the game at the first such k,
+whose only possible end is a certificate, playing it when the certificate
+is first read.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .graph import (
     evaluate_beta,
     sign_vector,
 )
-from .oracle import brute_beta
+from .oracle import brute_beta, brute_beta_one_sided
 from .spectral import (
     MmwuState,
     VertexWeights,
@@ -295,11 +299,12 @@ class SweepResult:
     """Best witness plus the certificate at the largest certified ratio.
 
     ``cert_source`` is the certificate that ended the sweep, or the unplayed
-    game that yields it when the sweep proved the outcome without playing
-    (see ``approx_bipartiteness``), or None.  ``certificate`` plays such a
-    game on its first read and keeps the result, so a failure of that game
-    (GameFailed, NumericalFailure) is raised by that read.  ``r_cert`` and
-    ``flow_solves`` come from ``games`` and never play it.
+    game that yields it when the sweep proved from beta_1(G) that the game
+    can only end in a certificate (see ``approx_bipartiteness``), or None.
+    ``certificate`` plays such a game on its first read and keeps the
+    result, so a failure of that game (GameFailed, NumericalFailure) is
+    raised by that read.  ``r_cert`` and ``flow_solves`` come from
+    ``games`` and never play it.
     """
 
     x_best: SignVector
@@ -357,27 +362,31 @@ def approx_bipartiteness(G: WeightedGraph, params: GameParams | None = None,
     positive ratio.
 
     On a graph of at most ``BRUTE_CERT_LIMIT`` vertices the sweep checks
-    the settings and vertex weights as a game would, brute-forces beta(G)
-    once, and does not play the game at the first k with k * beta(G) >= 1.
-    That game can only end in its T-round certificate: a witness would have
-    ratio below 1/k <= beta(G).  Its summary reads T rounds and T flow
-    solves, and the game is played on the first read of the result's
-    ``certificate``, which also raises any GameFailed or NumericalFailure
-    it meets; a caller that keeps only the witness never plays it.
+    the settings and vertex weights as a game would, brute-forces the
+    one-sided ratio beta_1(G) once (``oracle.brute_beta_one_sided``), and
+    does not play the game at the first k with k * beta_1(G) >= 1.  That
+    game can only end in its T-round certificate: the cut player proposes
+    only one-sided selections (L, empty), and at such a k every one of them
+    saturates.  As beta <= beta_1, this k comes no later than the first k
+    with k * beta(G) >= 1.  The deferred game's summary reads T rounds and
+    T flow solves, and the game is played on the first read of the
+    result's ``certificate``, which also raises any GameFailed or
+    NumericalFailure it meets; a caller that keeps only the witness never
+    plays it.
     """
-    beta_G: Ratio | None = None
+    beta_1: Ratio | None = None
     if G.n <= BRUTE_CERT_LIMIT:
         # Bad settings or weights fail here as the first game would fail.
         rounds = (params or GameParams()).resolve(G.n).rounds
         VertexWeights(G.b, G.n)
-        beta_G = brute_beta(G)[0]
+        beta_1 = brute_beta_one_sided(G)[0]
     best_x: SignVector | None = None
     best_beta: Ratio | None = None
     cert: Certificate | Callable[[], Certificate] | None = None
     games: list[GameSummary] = []
     for j in range(sweep_k_limit(G) + 1):
         k = 2**j
-        if beta_G is not None and k * beta_G >= 1:
+        if beta_1 is not None and k * beta_1 >= 1:
             games.append(GameSummary(k, "certificate", None, rounds, rounds))
             cert = partial(cut_matching_game, G, k, params, seed_path)
             break

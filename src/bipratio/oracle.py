@@ -3,8 +3,11 @@
 Every theorem-level test checks the fast machinery against one of these
 oracles: the bipartiteness ratio minimized over all 3^n - 1 sign vectors,
 max cut over 2^(n-1) bipartitions, and well-linkedness over the symmetric
-selection pairs (one max-flow each).  Each answer is the first optimum, or
-the first violating pair, in a fixed ternary (or binary) counter order.
+selection pairs (one max-flow each).  The ratio search also yields the
+one-sided ratio, which decides whether every one-sided selection (L, empty)
+saturates; the ratio sweep reads it on desk-scale graphs.  Each answer is
+the first optimum, or the first violating pair, in a fixed ternary (or
+binary) counter order.
 The ratio and cut searches meet in the middle: as an edge term is bilinear
 in its endpoints' values, an edge sum is a vector over each vertex half's
 table plus an integer matrix product, formed a block of most significant
@@ -14,6 +17,7 @@ rows at a time in row-major order (counter order) in O(3^(n/2)) memory.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, product
 from typing import Iterator
 
@@ -70,6 +74,27 @@ def brute_beta(graph, b=None) -> tuple[Ratio, SignVector]:
     denominator (at most b(V)) fits, else in Python ints.  The high half is vertices [0, n/2); an edge
     between the halves adds x_u x_v + |x_u| (1 - |x_v|) + |x_v|.
     """
+    return _brute_ratio(graph, b, one_sided=False)
+
+
+def brute_beta_one_sided(graph) -> tuple[Ratio, SignVector]:
+    """Exact one-sided ratio beta_1 and its first minimizer, under the
+    graph's own vertex weights (pass ``G.with_b(b)`` for others).
+
+    beta_1 = min over x != 0 of sum_e w |x_u + x_v| / max(b(P_x), b(N_x)),
+    with P_x and N_x the +1 and -1 supports of x: the search of
+    ``brute_beta``, same order, tables, numerators and arithmetic, with
+    the larger support's weight as the denominator.  The selection
+    network (L, empty) at ratio 1/k has consistent cut value
+    b(L) - sum_{i in L} b_i x_i + k sum_e w |x_u + x_v| at x, so every
+    one-sided selection saturates exactly when k * beta_1 >= 1.  As
+    max(b(P), b(N)) lies between b(P ∪ N) / 2 and b(P ∪ N),
+    beta <= beta_1 <= 2 beta.
+    """
+    return _brute_ratio(graph, graph.b, one_sided=True)
+
+
+def _brute_ratio(graph, b, one_sided: bool) -> tuple[Ratio, SignVector]:
     if (n := graph.n) > 16:
         raise TooLargeError(f"brute_beta enumerates 3^n vectors; n = {n} > 16")
     b_list = [int(x) for x in (graph.b if b is None else b)]
@@ -82,16 +107,21 @@ def brute_beta(graph, b=None) -> tuple[Ratio, SignVector]:
     num_lo += np.abs(lo).astype(dtype) @ W.sum(axis=0)
     P = np.concatenate([hi, np.abs(hi)], axis=1).astype(dtype)
     Q = np.concatenate([lo.astype(dtype) @ W.T, (1 - np.abs(lo)).astype(dtype) @ W.T], axis=1)
-    den_hi, den_lo = np.abs(hi).astype(dtype) @ b_arr[:h], np.abs(lo).astype(dtype) @ b_arr[h:]
+    # Each support's weight as a sum of its two halves' weights: b(P ∪ N),
+    # or b(P) and b(N) when one-sided, whose larger one is the denominator.
+    supports = (lambda t: t == 1, lambda t: t == -1) if one_sided else (np.abs,)
+    dens = [(s(hi).astype(dtype) @ b_arr[:h], s(lo).astype(dtype) @ b_arr[h:])
+            for s in supports]
     # Rows [3^j, 2 * 3^j) of a table start with +1.  The zero high row runs
     # with every low row: there -x ties with x, which comes first.
     rows = np.concatenate([[0], *(np.arange(3**j, 2 * 3**j) for j in range(h))])
     step = max(1, _BLOCK // len(lo))
-    best_num, best_den, best = int(num_lo[1]), int(den_lo[1]), (0, 1)  # x = (0, ..., 0, 1)
+    best_num, best = int(num_lo[1]), (0, 1)  # x = (0, ..., 0, 1)
+    best_den = max(int(d_hi[0] + d_lo[1]) for d_hi, d_lo in dens)
     for start in range(0, len(rows), step):
         r = rows[start:start + step]
         num = ((num_hi[r, None] + num_lo) + P[r] @ Q.T).ravel()
-        den = (den_hi[r, None] + den_lo).ravel()
+        den = reduce(np.maximum, [d_hi[r, None] + d_lo for d_hi, d_lo in dens]).ravel()
         better = np.flatnonzero(num * best_den < best_num * den)
         while len(better):  # each pass takes the next strict improvement
             best_num, best_den = int(num[better[0]]), int(den[better[0]])

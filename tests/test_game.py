@@ -561,6 +561,63 @@ def test_game_at_a_ratio_guess_below_beta_ends_in_a_certificate():
     assert played >= 150
 
 
+def test_game_at_a_one_sided_ratio_guess_ends_in_a_certificate():
+    # The cut player proposes only one-sided selections (L, empty), and at
+    # the first power of two k with k * beta_1(G) >= 1 every one of them
+    # saturates, so the game played there can only certificate: the fact
+    # the sweep's deferral rests on.  That k never exceeds the one of
+    # beta(G), and is smaller on some graphs.
+    from bipratio.oracle import brute_beta_one_sided
+
+    rng = np.random.default_rng(42)
+    played = earlier = 0
+    for run in range(140):
+        n = int(rng.integers(2, 9))
+        G = random_test_graph(rng, n, w_max=3, p=0.7)
+        for H in (G, G.with_b(tuple(int(x) for x in rng.integers(1, 6, size=n)))):
+            beta_1 = brute_beta_one_sided(H)[0]
+            if beta_1 == 0:
+                continue
+            k = 1
+            while k * beta_1 < 1:
+                k *= 2
+            earlier += k * brute_beta(H)[0] < 1
+            out = cut_matching_game(H, k, GameParams(seed=run))
+            assert isinstance(out, Certificate), (H, k)
+            played += 1
+    assert played >= 150 and earlier >= 100
+
+
+def test_deferred_sweep_is_pinned():
+    # The sweep of this G(8, 1/2) reaches k = 8 with 8 * beta(G) = 8/13 < 1
+    # but 8 * beta_1(G) = 8/7 >= 1, so it summarizes that game unplayed
+    # (the rule of beta(G) played it).  The literal figures are those of
+    # the played sweep; the certificate, on its first read, equals the game
+    # played directly.
+    from bipratio.game import GameSummary
+    from bipratio.generators import gnp
+    from bipratio.oracle import brute_beta_one_sided
+
+    G, params = gnp(8, 0.5, 3, seed=13), GameParams(seed=13)
+    assert (brute_beta(G)[0], brute_beta_one_sided(G)[0]) == (Fraction(1, 13), Fraction(1, 7))
+    res = approx_bipartiteness(G, params)
+    assert callable(res.cert_source)
+    assert res.games == (
+        GameSummary(k=1, outcome="witness", beta=Fraction(7, 19), rounds=0, flow_solves=1),
+        GameSummary(k=2, outcome="witness", beta=Fraction(1, 13), rounds=1, flow_solves=2),
+        GameSummary(k=4, outcome="witness", beta=Fraction(1, 13), rounds=0, flow_solves=1),
+        GameSummary(k=8, outcome="certificate", beta=None, rounds=39, flow_solves=39),
+    )
+    assert res.x_best == (-1, 1, -1, 1, 1, -1, 1, -1)
+    assert res.beta == Fraction(1, 13)
+    cert, direct = res.certificate, cut_matching_game(G, 8, params)
+    assert isinstance(direct, Certificate) and cert.rounds == direct.rounds == 39
+    assert [r.side for r in cert.records] == [r.side for r in direct.records]
+    assert [r.demand.pairs for r in cert.records] == [r.demand.pairs for r in direct.records]
+    assert [r.inner for r in cert.records] == [r.inner for r in direct.records]
+    assert (cert.lambda_min, cert.beta_H) == (direct.lambda_min, direct.beta_H)
+
+
 def test_deferred_certificate_is_played_on_first_read(monkeypatch):
     # Seed 0 on this G(8, 1/2) reaches k = 4 with 4 * beta(G) = 1, so the
     # sweep summarizes that game without playing it.  Everything but the

@@ -227,15 +227,18 @@ def test_maxcut_never_brute_forces_a_certificate(monkeypatch):
     # A level keeps only its sweep's witness, so the certificates that end
     # its sweeps are never asked for beta(H), and no search runs on a demand
     # union, although every graph here is small enough for it.  The one
-    # search per level is the sweep's own beta(G).
+    # search per level is the sweep's own one-sided ratio beta_1(G); no
+    # level graph is searched for beta(G).  A sweep now defers most
+    # certificates unplayed, so two-round games join the default ones to
+    # play some.
     import bipratio.game as game
     import bipratio.maxcut as maxcut
     from bipratio import Certificate
-    from bipratio.flow import DemandMultigraph
 
-    searches, certificates, levels = [], [], []
+    searches, one_sided, certificates, levels = [], [], [], []
     real_game, real_brute, real_sweep = (game.cut_matching_game, game.brute_beta,
                                          maxcut.approx_bipartiteness)
+    real_one_sided = game.brute_beta_one_sided
 
     def tracked(*args):
         out = real_game(*args)
@@ -247,23 +250,27 @@ def test_maxcut_never_brute_forces_a_certificate(monkeypatch):
         return real_sweep(G, params, seed_path=seed_path)
 
     monkeypatch.setattr(game, "brute_beta", lambda *a: searches.append(a[0]) or real_brute(*a))
+    monkeypatch.setattr(game, "brute_beta_one_sided",
+                        lambda *a: one_sided.append(a[0]) or real_one_sided(*a))
     monkeypatch.setattr(game, "cut_matching_game", tracked)
     monkeypatch.setattr(maxcut, "approx_bipartiteness", level)
     for seed in range(4):
-        recursive_bipart(gnp(8, 0.5, 3, seed=seed), GameParams(seed=seed))
+        for rounds in (None, 2):
+            recursive_bipart(gnp(8, 0.5, 3, seed=seed), GameParams(seed=seed, rounds=rounds))
     assert sum(certificates) >= 4
-    assert not any(isinstance(G, DemandMultigraph) for G in searches)
+    assert searches == []
     assert all(G.n <= game.BRUTE_CERT_LIMIT for G in levels)
-    assert [id(G) for G in searches] == [id(G) for G in levels]
+    assert [id(G) for G in one_sided] == [id(G) for G in levels]
 
 
 def test_maxcut_plays_no_game_it_could_only_certificate(monkeypatch):
     # Max-cut reads no certificate, so on level graphs of at most
-    # BRUTE_CERT_LIMIT vertices it never plays a game at k * beta >= 1.
-    # Seeds 6 and 10 reach such a k; the others certificate before it.
+    # BRUTE_CERT_LIMIT vertices it never plays a game at k * beta_1 >= 1,
+    # where every one-sided selection saturates.  Every seed but 0 reaches
+    # such a k; seed 0 certificates before it.
     import bipratio.game as game
     import bipratio.maxcut as maxcut
-    from bipratio import brute_beta
+    from bipratio.oracle import brute_beta_one_sided
 
     played, deferred = [], []
     real_game, real_sweep = game.cut_matching_game, maxcut.approx_bipartiteness
@@ -281,5 +288,5 @@ def test_maxcut_plays_no_game_it_could_only_certificate(monkeypatch):
     monkeypatch.setattr(maxcut, "approx_bipartiteness", level)
     for seed in range(12):
         recursive_bipart(gnp(8, 0.5, 3, seed=seed), GameParams(seed=seed))
-    assert played and sum(deferred) == 2
-    assert all(k * brute_beta(G)[0] < 1 for G, k in played)
+    assert played and sum(deferred) == 11
+    assert all(k * brute_beta_one_sided(G)[0] < 1 for G, k in played)

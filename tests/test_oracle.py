@@ -8,6 +8,7 @@ from bipratio import (
     TooLargeError,
     WeightedGraph,
     brute_beta,
+    brute_beta_one_sided,
     brute_maxcut,
     brute_well_linked,
     evaluate_beta,
@@ -17,7 +18,7 @@ from bipratio.flow import DemandMultigraph, build_network, is_saturating, max_fl
 from bipratio.generators import complete
 from bipratio.graph import build_auxiliary_graph
 from bipratio.oracle import iter_symmetric_pairs
-from bipratio.verify import all_connected_graphs
+from bipratio.verify import all_connected_graphs, random_test_graph
 
 
 def test_brute_beta_k3(k3):
@@ -130,6 +131,51 @@ def test_brute_beta_edgeless_heavy_weights_stay_exact():
     assert brute_beta(WeightedGraph(2, (), (2**63, 1))) == (0, (0, 1))
 
 
+def test_one_sided_ratio_decides_one_sided_saturation():
+    # Every selection (L, empty) saturates at 1/k exactly when
+    # k * beta_1 >= 1, checked by one max-flow per nonempty L on k around
+    # 1/beta_1, under degree weights and other weights alike.
+    rng = np.random.default_rng(36)
+    graphs = cases = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 8))
+        G = random_test_graph(rng, n, w_max=3, p=0.6)
+        for H in (G, G.with_b(tuple(int(x) for x in rng.integers(1, 7, size=n)))):
+            graphs += 1
+            beta_1 = brute_beta_one_sided(H)[0]
+            k_star = -(-beta_1.denominator // beta_1.numerator) if beta_1 else 2
+            for k in {max(k_star - 1, 1), k_star, k_star + 1}:
+                net = build_network(build_auxiliary_graph(H), range(n), (), k)
+                saturates = True
+                for mask in range(1, 2**n):
+                    net.select(frozenset(i for i in range(n) if mask >> i & 1), frozenset())
+                    if not is_saturating(max_flow(net)):
+                        saturates = False
+                        break
+                assert saturates == (k * beta_1 >= 1), (H, k, beta_1)
+                cases += 1
+    assert graphs >= 100 and cases >= 250
+
+
+def test_one_sided_ratio_lies_between_beta_and_twice_beta():
+    rng = np.random.default_rng(37)
+    for _ in range(80):
+        n = int(rng.integers(1, 9))
+        G = _random_multigraph(rng, n, 5)
+        for H in (G, G.with_b(tuple(int(x) for x in rng.integers(1, 7, size=n)))):
+            beta, beta_1 = brute_beta(H)[0], brute_beta_one_sided(H)[0]
+            assert beta <= beta_1 <= 2 * beta
+
+
+def test_one_sided_ratio_weights_beyond_int64_stay_exact():
+    # Weights near 2^63 and far above it put every sum past int64.
+    for w in (2**63 - 1, 2**63 + 1, 10**300):
+        G = WeightedGraph(4, ((0, 1, w), (1, 2, w), (2, 3, 1), (0, 3, w), (0, 2, 3)))
+        beta_1, x = brute_beta_one_sided(G)
+        assert (beta_1, x) == _reference_beta(G, G.b, one_sided=True)
+        assert brute_beta_one_sided(WeightedGraph(2, (), (w, 1))) == (0, (0, 1))
+
+
 def test_brute_maxcut_large_weights_stay_exact():
     # w(E) = 2^63 + 1 is past int64; the best side is the middle vertex.
     G = WeightedGraph(3, ((0, 1, 2**62), (1, 2, 2**62), (0, 2, 1)))
@@ -141,15 +187,17 @@ def test_brute_maxcut_large_weights_stay_exact():
 
 # -- an independent reference: plain Python over itertools.product ------------
 
-def _reference_beta(graph, b):
-    """First minimizer in ternary-counter order, by exhaustive Fractions."""
+def _reference_beta(graph, b, one_sided=False):
+    """First minimizer in ternary-counter order, by exhaustive Fractions; the
+    denominator is b(P) + b(N), or max(b(P), b(N)) when one-sided."""
     edges = list(graph.weighted_edges())
     best = None
     for x in product((0, 1, -1), repeat=graph.n):
         if next((s for s in x if s), -1) != 1:
             continue  # the zero vector, or a mirror of an earlier vector
         num = sum(w * abs(x[u] + x[v]) for u, v, w in edges)
-        ratio = Fraction(num, sum(bi * abs(s) for bi, s in zip(b, x)))
+        pos, neg = (sum(bi for bi, s in zip(b, x) if s == sign) for sign in (1, -1))
+        ratio = Fraction(num, max(pos, neg) if one_sided else pos + neg)
         if best is None or ratio < best[0]:
             best = (ratio, x)
     return best
@@ -205,6 +253,16 @@ def test_brute_beta_matches_reference(n, blocks):
         assert brute_beta(G) == _reference_beta(G, G.b)
         b = tuple(int(x) for x in rng.integers(1, 7, size=n))
         assert brute_beta(G, b) == _reference_beta(G, b)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_brute_beta_one_sided_matches_reference(n, blocks):
+    rng = np.random.default_rng([38, n])
+    for w_max in (1, 4, 10**10):
+        G = _random_multigraph(rng, n, w_max)
+        assert brute_beta_one_sided(G) == _reference_beta(G, G.b, one_sided=True)
+        b = tuple(int(x) for x in rng.integers(1, 7, size=n))
+        assert brute_beta_one_sided(G.with_b(b)) == _reference_beta(G, b, one_sided=True)
 
 
 @pytest.mark.parametrize("n", range(2, 10))

@@ -97,14 +97,15 @@ def test_flow_decomposition_rejects_congestion_above_capacity(monkeypatch):
 
 
 def test_certificate_soundness_searches_each_ratio_once(monkeypatch):
-    # beta(G) once per run in the check and once per sweep, which proves its
-    # last game without playing it; beta(H) once per certificate, in the
-    # game on its first read, which the check reuses instead of searching.
+    # beta(G) once per run in the check; beta_1(G) once per sweep, which
+    # proves its last game without playing it; beta(H) once per
+    # certificate, in the game on its first read, which the check reuses
+    # instead of searching.
     import bipratio.game as game
     import bipratio.verify as verify
     from bipratio.flow import DemandMultigraph
 
-    checked, in_game, sweeps = [], [], []
+    checked, in_game, one_sided, sweeps = [], [], [], []
     real_brute, real_sweep = verify.brute_beta, verify.approx_bipartiteness
 
     def spy(calls):
@@ -116,14 +117,15 @@ def test_certificate_soundness_searches_each_ratio_once(monkeypatch):
 
     monkeypatch.setattr(verify, "brute_beta", spy(checked))
     monkeypatch.setattr(game, "brute_beta", spy(in_game))
+    real_one_sided = game.brute_beta_one_sided
+    monkeypatch.setattr(game, "brute_beta_one_sided",
+                        lambda G: one_sided.append(G) or real_one_sided(G))
     monkeypatch.setattr(verify, "approx_bipartiteness", sweep)
     ok, detail = verify.check_certificate_soundness(trials=10)
     assert ok, detail
     assert len(checked) == 10 and not any(isinstance(G, DemandMultigraph) for G in checked)
-    unions = [G for G in in_game if isinstance(G, DemandMultigraph)]
-    assert len(unions) == 10
-    assert [id(G) for G in in_game if not isinstance(G, DemandMultigraph)] \
-        == [id(G) for G in sweeps]
+    assert len(in_game) == 10 and all(isinstance(G, DemandMultigraph) for G in in_game)
+    assert [id(G) for G in one_sided] == [id(G) for G in sweeps]
 
 
 def test_rounding_acceptance_runs_the_library_rounding(monkeypatch):
