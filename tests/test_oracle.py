@@ -14,7 +14,13 @@ from bipratio import (
     evaluate_beta,
 )
 from bipratio import oracle
-from bipratio.flow import DemandMultigraph, build_network, is_saturating, max_flow
+from bipratio.flow import (
+    DemandMultigraph,
+    FlowNetwork,
+    build_network,
+    is_saturating,
+    max_flow,
+)
 from bipratio.generators import complete
 from bipratio.graph import build_auxiliary_graph
 from bipratio.oracle import iter_symmetric_pairs
@@ -305,3 +311,122 @@ def test_mirrored_selection_has_the_same_max_flow(n):
         for L, R in iter_symmetric_pairs(n):
             forward, mirror = build_network(aux, L, R, k), build_network(aux, R, L, k)
             assert max_flow(forward).value == max_flow(mirror).value
+
+
+# -- the BLAS route and its boundary --------------------------------------------
+
+@pytest.fixture
+def bounds(monkeypatch):
+    """Every product bound the searches compute; below 2^53 a block is one
+    float64 BLAS product, from 2^53 on numpy's integer product."""
+    seen, product_bound = [], oracle._product_bound
+
+    def spy(A, B):
+        seen.append(bound := product_bound(A, B))
+        return bound
+
+    monkeypatch.setattr(oracle, "_product_bound", spy)
+    return seen
+
+
+def _heavy_edge(G, w):
+    """G with its first edge's weight set to w (degree weights follow)."""
+    (u, v, _), *rest = G.edges
+    return WeightedGraph(G.n, ((u, v, w), *rest))
+
+
+_SEARCHES = {
+    "beta": (brute_beta, lambda G: _reference_beta(G, G.b)),
+    "one-sided": (brute_beta_one_sided, lambda G: _reference_beta(G, G.b, one_sided=True)),
+    "maxcut": (brute_maxcut, _reference_maxcut),
+}
+
+
+@pytest.mark.parametrize("search", sorted(_SEARCHES))
+def test_searches_stay_exact_on_both_sides_of_the_blas_bound(search, bounds, blocks):
+    # The largest weight of one heavy edge that keeps the bound below 2^53,
+    # and the next weight, which moves the search onto the integer route:
+    # both routes run, on both sides of the boundary.
+    run, reference = _SEARCHES[search]
+    rng = np.random.default_rng([39, len(search)])
+    for n in (3, 5, 8):
+        G = random_test_graph(rng, n, w_max=5, p=0.7)
+
+        def blas(w):
+            bounds.clear()
+            run(_heavy_edge(G, w))
+            return bounds[-1] < 2**53
+
+        lo, hi = 1, 2
+        while blas(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            lo, hi = ((lo + hi) // 2, hi) if blas((lo + hi) // 2) else (lo, (lo + hi) // 2)
+        for w in (lo, hi):
+            H = _heavy_edge(G, w)
+            bounds.clear()
+            assert run(H) == reference(H), (search, n, w)
+            assert (bounds[-1] < 2**53) == (w == lo)
+            assert 2**52 < bounds[-1] < 2**54
+
+
+def test_ratio_search_takes_the_blas_route_on_the_object_tier(bounds, blocks):
+    # Vertex weights near 10^300 put b(V) past int64, while the numerators
+    # stay small: the BLAS block reaches the cross-multiplied comparisons
+    # as Python ints, and weights that differ in their last digit still tell
+    # the ratios apart.
+    G = WeightedGraph(5, ((0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 4, 1), (0, 4, 1), (1, 3, 2)))
+    for b in ((10**300, 10**300 + 1, 10**300 - 1, 10**300 + 2, 10**300),
+              (3, 10**300, 1, 10**300 + 7, 2)):
+        bounds.clear()
+        assert brute_beta(G, b) == _reference_beta(G, b)
+        assert brute_beta_one_sided(G.with_b(b)) == _reference_beta(G, b, one_sided=True)
+        assert max(bounds) < 2**53
+
+
+@pytest.mark.parametrize("w", [2**63 - 1, 2**63 + 1, 10**300])
+def test_searches_take_the_integer_route_past_int64(w, bounds):
+    G = WeightedGraph(5, ((0, 1, w), (1, 2, w), (2, 3, 1), (0, 3, w), (0, 2, 3), (3, 4, 2)))
+    for run, reference in _SEARCHES.values():
+        bounds.clear()
+        assert run(G) == reference(G)
+        assert min(bounds) >= 2**53
+
+
+# -- explicit vertex weights ------------------------------------------------------
+
+def test_brute_beta_needs_weights_for_a_demand_graph():
+    with pytest.raises(ValueError):
+        brute_beta(DemandMultigraph(3, {(0, 1): 1, (1, 2): 2}))
+
+
+@pytest.mark.parametrize("b", [(1, 1), (1, 1, 1, 1), (1, 1, -1), (1, 0, 1), (1, 1.5, 1),
+                               (1, "2", 1), (1, None, 1)])
+def test_brute_beta_rejects_bad_explicit_weights(b):
+    for graph in (complete(3), DemandMultigraph(3, {(0, 1): 1, (1, 2): 2})):
+        with pytest.raises(ValueError):
+            brute_beta(graph, b)
+
+
+def test_brute_beta_accepts_integral_weights_of_any_integer_type(k3):
+    assert brute_beta(k3, (1, np.int64(1), 1.0)) == brute_beta(k3, (1, 1, 1))
+
+
+# -- brute_well_linked solves the leading-plus pairs only --------------------------
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_well_linked_solves_the_leading_plus_pairs_in_counter_order(n, monkeypatch):
+    # Every flow is reported saturating, so the whole sequence is solved.
+    selected = []
+    select = FlowNetwork.select
+
+    def spy(net, L, R):
+        selected.append((frozenset(L), frozenset(R)))
+        select(net, L, R)
+
+    monkeypatch.setattr(FlowNetwork, "select", spy)
+    monkeypatch.setattr(oracle, "is_saturating", lambda flow: True)
+    G = _random_multigraph(np.random.default_rng([40, n]), n, 3)
+    assert brute_well_linked(G) == (True, None)
+    expected = [(L, R) for L, R in iter_symmetric_pairs(n) if min(L | R) in L]
+    assert selected[1:] == expected  # the first is build_network's placeholder
