@@ -3,7 +3,9 @@
 Every theorem-level test checks the fast machinery against one of these
 oracles: the bipartiteness ratio minimized over all 3^n - 1 sign vectors,
 max cut over 2^(n-1) bipartitions, and well-linkedness over the symmetric
-selection pairs (one max-flow each).  The ratio search also yields the
+selection pairs, read by max-flow/min-cut off the cut values of all 4^n
+copy sets of the doubled graph (one max-flow then confirms a violating
+pair).  The ratio search also yields the
 one-sided ratio, which decides whether every one-sided selection (L, empty)
 saturates; the ratio sweep reads it on desk-scale graphs.  Each answer is
 the first optimum, or the first violating pair, in a fixed ternary (or
@@ -13,12 +15,13 @@ in its endpoints' values, an edge sum is a vector over each vertex half's
 table plus an integer matrix product, formed a block of most significant
 rows at a time in row-major order (counter order) in O(3^(n/2)) memory.
 Each block is one product, the half sums folded in as two extra columns.
-Arithmetic: that product is a float64 BLAS product when max row-L1 of the
-left table times max |entry| of the right one is below 2^53, so every
+Arithmetic: that product is a float64 BLAS product when the sum over
+columns of the two tables' largest |entry| products is below 2^53, so every
 partial sum is an integer float64 holds exactly; otherwise it is numpy's
 integer product in int64, or in Python ints once a sum may pass int64.
 Ratios are compared by integer cross-multiplication, in int64 while every
-numerator times every denominator fits, else in Python ints.
+numerator times every denominator fits, else in Python ints; in int64, a
+block's float ratios first pick out the few entries that can be its least.
 """
 
 from __future__ import annotations
@@ -73,19 +76,18 @@ def _sum_dtype(bound: int):
 
 
 def _product_bound(A, B) -> int:
-    """max row-L1(A) * max |B|, exactly: no partial sum of A @ B.T is larger."""
-    # An int64 table's row holds one half sum below 2^63 plus a few entries
-    # of at most 1, so its uint64 row sums cannot wrap.
-    l1 = np.abs(A).sum(axis=1, dtype=None if A.dtype == object else np.uint64)
-    return int(l1.max()) * int(np.abs(B).max())
+    """sum over columns j of max |A[:, j]| * max |B[:, j]|, exactly: no
+    partial sum of A @ B.T is larger."""
+    return sum(int(a) * int(b) for a, b in zip(np.abs(A).max(axis=0), np.abs(B).max(axis=0)))
 
 
 def _block_sums(P, s_hi, Q, s_lo, dtype, ints: bool):
     """block(r) = s_hi[r, None] + s_lo + P[r] @ Q.T over integer tables,
     exactly, as the one product of A = [P | s_hi | 1] and B = [Q | 1 | s_lo].
 
-    The route is decided once, from the tables: when max row-L1(A) times
-    max |B| is below 2^53, every product and partial sum is an integer
+    The route is decided once, from the tables: when the sum over columns j
+    of max |A[:, j]| * max |B[:, j]| is below 2^53, every product and
+    partial sum is an integer
     below 2^53, which float64 holds exactly in any summation order, so a
     BLAS product serves; its block is float64, or with ``ints`` converted
     through int64 to ``dtype`` (an object block holds Python ints).
@@ -135,9 +137,13 @@ def brute_beta(graph, b=None) -> tuple[Ratio, SignVector]:
     denominator (at most b(V)) fits, else in Python ints.  The high half
     is vertices [0, n/2); an edge between the halves adds
     x_u x_v + |x_u| (1 - |x_v|) + |x_v|.  Each block's numerators are one
-    product: float64 BLAS while max row-L1 times max entry of its tables is
-    below 2^53, else int64 or Python ints; a float block is converted
-    through int64, never through Python floats, before it is compared.
+    product: float64 BLAS while its tables' column bound (see
+    ``_block_sums``) is below 2^53, else int64 or Python ints.  In int64,
+    the float ratios num / den, within 2^-50 of the exact ones, first keep
+    only the entries within 2^-48 of the block's least, which alone can be
+    least; those few are compared exactly, as Python ints.  In Python ints,
+    every entry below the best is compared, and a float block is converted
+    through int64, never through Python floats.
 
     ``b`` defaults to a WeightedGraph's own weights; ValueError unless it
     holds n integers >= 1, or when a DemandMultigraph comes without it.
@@ -174,8 +180,9 @@ def _brute_ratio(graph, b, one_sided: bool) -> tuple[Ratio, SignVector]:
                                      lambda s, t: np.abs(s + t), dtype)
     num_lo += np.abs(lo).astype(dtype) @ W.sum(axis=0)
     Q = np.concatenate([lo.astype(dtype) @ W.T, (1 - np.abs(lo)).astype(dtype) @ W.T], axis=1)
+    by_floats = dtype is np.int64  # float ratios narrow each block first
     block = _block_sums(np.concatenate([hi, np.abs(hi)], axis=1), num_hi, Q, num_lo, dtype,
-                        ints=True)
+                        ints=not by_floats)
     # Each support's weight as a sum of its two halves' weights: b(P ∪ N),
     # or b(P) and b(N) when one-sided, whose larger one is the denominator.
     supports = (lambda t: t == 1, lambda t: t == -1) if one_sided else (np.abs,)
@@ -191,11 +198,15 @@ def _brute_ratio(graph, b, one_sided: bool) -> tuple[Ratio, SignVector]:
         r = rows[start:start + step]
         num = block(r).ravel()
         den = reduce(np.maximum, [d_hi[r, None] + d_lo for d_hi, d_lo in dens]).ravel()
-        better = np.flatnonzero(num * best_den < best_num * den)
-        while len(better):  # each pass takes the next strict improvement
-            best_num, best_den = int(num[better[0]]), int(den[better[0]])
-            best = (r[better[0] // len(lo)], better[0] % len(lo))
-            better = better[num[better] * best_den < best_num * den[better]]
+        if by_floats:
+            with np.errstate(invalid="ignore"):  # x = 0 is 0 / 0, which fmin skips
+                q = num / den
+            near = np.flatnonzero(q <= np.fmin.reduce(q) * (1 + 2**-48))
+        else:
+            near = np.flatnonzero(num * best_den < best_num * den)
+        for i in near.tolist():
+            if (v := int(num[i])) * best_den < best_num * (d := int(den[i])):
+                best_num, best_den, best = v, d, (r[i // len(lo)], i % len(lo))
     x = np.concatenate([hi[best[0]], lo[best[1]]])
     return Fraction(best_num, best_den), tuple(int(s) for s in x)
 
@@ -207,9 +218,10 @@ def brute_maxcut(G: WeightedGraph) -> tuple[Ratio, frozenset[int]]:
     out, and masks 0..2^(n-1)-1 are scanned in order, one replacing the best
     only when its cut is strictly larger.  The low bits are vertices [0, h);
     an edge between the halves adds y_u (1 - y_v) + (1 - y_u) y_v.  Each
-    block's cut weights are one product: float64 BLAS while max row-L1
-    times max entry of its tables is below 2^53 (its argmax read on the
-    exact float block), else int64 or Python ints.
+    block's cut weights are one product: float64 BLAS while its tables'
+    column bound is below 2^53 (its argmax read on the exact float block),
+    else int64 or Python ints.  Every table entry is nonnegative, so that
+    bound is at most 2 w(E).
     """
     if (n := G.n) > 20:
         raise TooLargeError(f"brute_maxcut enumerates 2^(n-1) sides; n = {n} > 20")
@@ -230,43 +242,89 @@ def brute_maxcut(G: WeightedGraph) -> tuple[Ratio, frozenset[int]]:
     return Fraction(best_w, total), frozenset(i for i in range(n) if (best_mask >> i) & 1)
 
 
-def _half_pairs(n: int):
-    """Each half's table rows as (L, R, first nonzero sign, or 0), with
-    vertex offsets: the high half [0, n/2), then the low half."""
-    h = n // 2
-    return [[(frozenset(o + i for i, s in enumerate(row) if s == 1),
-              frozenset(o + i for i, s in enumerate(row) if s == -1),
-              next((s for s in row if s), 0))
-             for row in _table(k, _SIGNS).tolist()] for o, k in ((0, h), (h, n - h))]
-
-
 def iter_symmetric_pairs(n: int) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
     """All 3^n - 1 pairs of disjoint (L, R) with nonempty union, in the
-    ternary counter order of ``brute_beta`` (+1 puts a vertex in L, -1 in R),
-    each joining a row of the high half's table to one of the low half's."""
-    return ((a | c, b | d) for (a, b, _), (c, d, _) in islice(product(*_half_pairs(n)), 1, None))
+    ternary counter order of ``brute_beta`` (+1 puts a vertex in L, -1 in R)."""
+    for x in islice(product(_SIGNS, repeat=n), 1, None):
+        yield (frozenset(i for i, s in enumerate(x) if s == 1),
+               frozenset(i for i, s in enumerate(x) if s == -1))
+
+
+# A vertex's two copies against a copy set X as the digit [i+ in X] + 2 [i- in X],
+# so that y_i = [i+ in X] - [i- in X] reads 0, +1, -1, 0.  An edge (u, v) of G
+# becomes (u+, v-) and (v+, u-); it cuts [u+ in X] != [v- in X] plus the mirror.
+_PLUS, _MINUS = np.arange(4) & 1, np.arange(4) >> 1
+_CROSS = (_PLUS[:, None] != _MINUS).astype(np.int64)
+_EDGE_CUT = _CROSS + _CROSS.T
+
+
+def _cut_values(G: WeightedGraph, dtype) -> np.ndarray:
+    """c(y) = min of cut_H(X) over the copy sets X of the doubled graph H with
+    y(X) = y, for every y in {0, 1, -1}^n in ternary counter order."""
+    n = G.n
+    cut, edge_cut = np.zeros((4,) * n, dtype), _EDGE_CUT.astype(dtype)
+    for u, v, w in G.weighted_edges():
+        shape = [1] * n
+        shape[u] = shape[v] = 4
+        cut += w * edge_cut.reshape(shape)
+    for i in range(n):  # vertex i's digits 0 and 3 both give y_i = 0
+        c = cut.reshape(3**i, 4, -1)
+        cut = np.concatenate([np.minimum(c[:, :1], c[:, 3:]), c[:, 1:3]], axis=1)
+    return cut.ravel()
 
 
 def brute_well_linked(G: WeightedGraph, k: int = 1):
-    """Exhaustive well-linkedness of the doubled graph at ratio 1/k, under
+    """Exhaustive well-linkedness of the doubled graph H at ratio 1/k, under
     G's own vertex weights (pass ``G.with_b(b)`` for others).
 
     Returns (linked, violating_pair): violating_pair is the first (L, R) in
     counter order whose maximum flow falls short of saturating, or None.
-    Only pairs whose smallest selected vertex lies in L (first nonzero digit
-    +1) are built and solved: swapping plus and minus copies maps the
-    network of (L, R) onto that of (R, L), and the solved pair of the two
-    comes first.  Limited to n <= 7.
+    No flow is needed to find it.  By max-flow/min-cut, the selection with
+    sign vector x saturates iff no source-side set X of copies cuts less
+    than b(A); X cuts b(A) - sum_i b_i x_i y_i + k cut_H(X), with
+    y_i = [i+ in X] - [i- in X].  So with c(y) the least cut_H(X) over the
+    X of pattern y, folded from all 4^n copy sets, x saturates iff
+    (b∘x)·y <= k c(y) for every y, and G is linked iff
+    sum_i b_i |y_i| <= k c(y) for every y.  Otherwise the x whose first
+    nonzero entry is +1 are tested in counter order, a block at a time,
+    against the violated y alone; (R, L) comes later than (L, R) and has
+    the same maximum flow, as c(y) = c(-y).  The first violating pair is
+    confirmed by one max-flow on its selection network: AssertionError if
+    that flow saturates.
+
+    A y with k c(y) >= b(V) is never violated and is dropped first, so
+    every value compared is an integer below 2 b(V), and each block is a
+    product on the route ``_block_sums`` picks (float64 BLAS, int64 or
+    Python ints).  ValueError unless k is a positive integer; n <= 7.
     """
-    if G.n > 7:
-        raise TooLargeError(f"brute_well_linked runs 3^n max-flows; n = {G.n} > 7")
-    # One network for every pair; the initial selection is a placeholder.
-    net = build_network(build_auxiliary_graph(G), range(G.n), (), k)
-    high, low = _half_pairs(G.n)
-    for a, b, s in high:
-        for c, d, t in low:
-            if (s or t) == 1:  # the high row's sign leads unless it is zero
-                net.select(a | c, b | d)
-                if not is_saturating(max_flow(net)):
-                    return False, (a | c, b | d)
-    return True, None
+    if (n := G.n) > 7:
+        raise TooLargeError(f"brute_well_linked enumerates 4^n copy sets; n = {n} > 7")
+    if k < 1 or int(k) != k:
+        raise ValueError(f"k must be a positive integer, got {k}")
+    b_V, w_E = sum(G.b), G.total_weight
+    c = _cut_values(G, _sum_dtype(2 * w_E))
+    # Only a y with k c(y) < b(V) can be violated; past b(V), k changes nothing.
+    kk = min(int(k), b_V)
+    kept = np.flatnonzero(c < min(-(-b_V // kk), 2 * w_E + 1))
+    dtype = _sum_dtype(2 * b_V)
+    b, Y = np.asarray(G.b, dtype), _table(n, _SIGNS)
+    kc = kk * c[kept].astype(dtype)
+    over = np.abs(Y[kept]).astype(dtype) @ b > kc
+    if not over.any():
+        return True, None
+    ys, kc = Y[kept[over]], kc[over]
+    # Rows [3^j, 2 * 3^j) are the x whose first nonzero entry is +1.
+    rows = np.concatenate([np.arange(3**j, 2 * 3**j) for j in range(n)])
+    block = _block_sums(Y[rows].astype(dtype) * b, np.zeros(len(rows), dtype), ys, -kc, dtype,
+                        ints=False)
+    step = max(1, _BLOCK // len(ys))
+    for start in range(0, len(rows), step):
+        hit = np.flatnonzero((block(slice(start, start + step)) > 0).any(axis=1))
+        if len(hit):
+            break
+    x = Y[rows[start + hit[0]]]
+    L, R = (frozenset(np.flatnonzero(x == s).tolist()) for s in (1, -1))
+    if is_saturating(max_flow(build_network(build_auxiliary_graph(G), L, R, k))):
+        raise AssertionError(f"the selection ({sorted(L)}, {sorted(R)}) violates a cut "
+                             "but its maximum flow saturates")
+    return False, (L, R)

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -220,6 +221,7 @@ def _reference_maxcut(G):
     return Fraction(best[0], G.total_weight), best[1]
 
 
+@functools.cache
 def _reference_well_linked(G, k):
     """First failing pair of the full 3^n - 1 scan, one fresh network each."""
     aux = build_auxiliary_graph(G)
@@ -280,12 +282,19 @@ def test_brute_maxcut_matches_reference(n, blocks):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_brute_well_linked_matches_reference(n):
+def test_brute_well_linked_matches_reference(n, monkeypatch):
+    # Weights past 2^53 and past int64 move the cut pass onto the int64 and
+    # Python-int routes; k = 2^40 and 2^70 reach and pass b(V).  Vertex n-1
+    # is isolated in the second graph of each pair.  Blocks of 5 entries
+    # take one row each.
     rng = np.random.default_rng([33, n])
-    for _ in range(3 if n < 7 else 1):
-        G = _random_multigraph(rng, n, 3)
-        for k in (1, 2, 4):
-            assert brute_well_linked(G, k) == _reference_well_linked(G, k)
+    for w_max in (3, 2**55, 2**62):
+        for _ in range(2 if n < 7 else 1):
+            G = _random_multigraph(rng, n, w_max)
+            isolated = WeightedGraph(n, tuple(e for e in G.edges if n - 1 not in e[:2]), G.b)
+            for H, k, block in product((G, isolated), (1, 2, 4, 2**40, 2**70), (oracle._BLOCK, 5)):
+                monkeypatch.setattr(oracle, "_BLOCK", block)
+                assert brute_well_linked(H, k) == _reference_well_linked(H, k), (H, k, block)
 
 
 def test_brute_beta_demand_multigraph_with_self_loops_matches_reference(blocks):
@@ -302,8 +311,11 @@ def test_brute_beta_demand_multigraph_with_self_loops_matches_reference(blocks):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_mirrored_selection_has_the_same_max_flow(n):
-    # brute_well_linked solves only one pair of each mirror pair (L, R),
+    # brute_well_linked tests only one pair of each mirror pair (L, R),
     # (R, L); that rests on their networks having equal maximum flows.
+    # Swapping every vertex's two copies maps the cuts of one network onto
+    # those of the other, and a copy set of pattern y onto one of pattern
+    # -y, so the cut table it reads has c(y) = c(-y).
     rng = np.random.default_rng([35, n])
     G = _random_multigraph(rng, n, 3)
     aux = build_auxiliary_graph(G)
@@ -412,21 +424,69 @@ def test_brute_beta_accepts_integral_weights_of_any_integer_type(k3):
     assert brute_beta(k3, (1, np.int64(1), 1.0)) == brute_beta(k3, (1, 1, 1))
 
 
-# -- brute_well_linked solves the leading-plus pairs only --------------------------
+# -- brute_well_linked solves the first failing leading-plus pair only -----------
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_well_linked_solves_the_leading_plus_pairs_in_counter_order(n, monkeypatch):
-    # Every flow is reported saturating, so the whole sequence is solved.
-    selected = []
-    select = FlowNetwork.select
+@pytest.fixture
+def selected(monkeypatch):
+    """Every selection a FlowNetwork is built or re-targeted at."""
+    seen, select = [], FlowNetwork.select
 
     def spy(net, L, R):
-        selected.append((frozenset(L), frozenset(R)))
+        seen.append((frozenset(L), frozenset(R)))
         select(net, L, R)
 
     monkeypatch.setattr(FlowNetwork, "select", spy)
-    monkeypatch.setattr(oracle, "is_saturating", lambda flow: True)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_well_linked_solves_the_leading_plus_pairs_in_counter_order(n, selected):
+    # A linked graph solves no network.  Otherwise exactly one network is
+    # solved: the first pair in counter order that fails to saturate, whose
+    # smallest selected vertex lies in L.
     G = _random_multigraph(np.random.default_rng([40, n]), n, 3)
-    assert brute_well_linked(G) == (True, None)
-    expected = [(L, R) for L, R in iter_symmetric_pairs(n) if min(L | R) in L]
-    assert selected[1:] == expected  # the first is build_network's placeholder
+    cases = [(G, k) for k in (1, 2, 4)]
+    if n >= 3:
+        cases += [(complete(n), 1), (complete(n), 2**40)]
+    outcomes = set()
+    for H, k in cases:
+        reference = _reference_well_linked(H, k)
+        selected.clear()
+        linked, pair = brute_well_linked(H, k)
+        assert (linked, pair) == reference
+        assert selected == ([] if linked else [pair])
+        assert linked or min(pair[0] | pair[1]) in pair[0]
+        outcomes.add(linked)
+    assert outcomes == ({False, True} if n >= 3 else {False})
+
+
+def test_well_linked_confirms_a_violation_by_its_max_flow(monkeypatch, c4):
+    # A flow that saturated where a cut is violated would contradict
+    # max-flow/min-cut: one of the two methods is wrong, and the oracle says so.
+    monkeypatch.setattr(oracle, "is_saturating", lambda flow: True)
+    with pytest.raises(AssertionError):
+        brute_well_linked(c4, k=1)
+    assert brute_well_linked(complete(4), k=2**40) == (True, None)
+
+
+def test_well_linked_at_k_near_and_past_the_vertex_weight_total():
+    # Vertex weights past int64 on unit edges put beta near 2^-64.6, so K3
+    # is linked at k = 2^65 and 2^70 but not at 2^40 or 2^64.
+    G = complete(3).with_b((2**64, 2**64 + 1, 2**64 + 2))
+    for k in (2**40, 2**64, 2**65, 2**70):
+        assert brute_well_linked(G, k) == _reference_well_linked(G, k)
+        assert brute_well_linked(G, k)[0] == (k >= 2**65)
+
+
+def test_well_linked_rejects_a_k_that_is_not_a_positive_integer(k3):
+    for k in (0, -1, 1.5):
+        with pytest.raises(ValueError):
+            brute_well_linked(k3, k)
+
+
+def test_maxcut_takes_the_blas_route_while_its_weights_fit(bounds):
+    # Weights near 1e9: the products' terms are nonnegative, so no partial
+    # sum passes 2 w(E), and the float64 route serves.
+    G = _random_multigraph(np.random.default_rng(41), 10, 10**9)
+    assert brute_maxcut(G) == _reference_maxcut(G)
+    assert bounds[-1] <= 2 * G.total_weight < 2**53
