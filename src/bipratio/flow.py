@@ -27,6 +27,17 @@ from .errors import (
 from .graph import AuxiliaryGraph, SignVector, evaluate_beta
 
 
+def _checked_k(k) -> int:
+    """``k`` as an int; ValueError unless it is a positive integer, which
+    excludes inf and nan."""
+    try:
+        if k >= 1 and int(k) == k:
+            return int(k)
+    except OverflowError:  # int(inf)
+        pass
+    raise ValueError(f"k must be a positive integer, got {k}")
+
+
 class FlowNetwork:
     """Selection network of the doubled graph at congestion parameter k >= 1,
     stored as paired residual arcs.
@@ -53,11 +64,9 @@ class FlowNetwork:
     """
 
     def __init__(self, aux: AuxiliaryGraph, k: int):
-        if k < 1 or int(k) != k:
-            raise ValueError(f"k must be a positive integer, got {k}")
         n = aux.base.n
         self.aux = aux
-        self.k = int(k)
+        self.k = _checked_k(k)
         self.n_base = n
         self.n_nodes = 2 * n + 2
         self.source = 2 * n

@@ -23,6 +23,14 @@ def _patch_isolated(n: int, edges: list[tuple[int, int, int]]) -> list[tuple[int
     return edges
 
 
+def _gnp_edges(rng: np.random.Generator, n: int, p: float,
+               w_max: int) -> list[tuple[int, int, int]]:
+    """Each pair i < j in turn is an edge with probability p, its weight
+    drawn uniformly from 1..w_max right after."""
+    return [(i, j, int(rng.integers(1, w_max + 1)))
+            for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
 def gnp(n: int, p: float, w_max: int = 1, seed: int = 0) -> WeightedGraph:
     """Erdos-Renyi graph with uniform integer weights in 1..w_max; a vertex
     left isolated is joined to its cyclic successor by a unit edge."""
@@ -32,13 +40,7 @@ def gnp(n: int, p: float, w_max: int = 1, seed: int = 0) -> WeightedGraph:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     if w_max < 1:
         raise ValueError("w_max must be at least 1")
-    rng = np.random.default_rng([seed, 3, 1])
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                w = int(rng.integers(1, w_max + 1))
-                edges.append((i, j, w))
+    edges = _gnp_edges(np.random.default_rng([seed, 3, 1]), n, p, w_max)
     return WeightedGraph(n, tuple(_patch_isolated(n, edges)))
 
 

@@ -5,23 +5,22 @@ oracles: the bipartiteness ratio minimized over all 3^n - 1 sign vectors,
 max cut over 2^(n-1) bipartitions, and well-linkedness over the symmetric
 selection pairs, read by max-flow/min-cut off the cut values of all 4^n
 copy sets of the doubled graph (one max-flow then confirms a violating
-pair).  The ratio search also yields the
-one-sided ratio, which decides whether every one-sided selection (L, empty)
-saturates; the ratio sweep reads it on desk-scale graphs.  Each answer is
-the first optimum, or the first violating pair, in a fixed ternary (or
-binary) counter order.
+pair).  The ratio search also yields the one-sided ratio, which decides
+whether every one-sided selection (L, empty) saturates; the ratio sweep
+reads it on desk-scale graphs.  Each answer is the first optimum, or the
+first violating pair, in a fixed ternary (or binary) counter order.
 The ratio and cut searches meet in the middle: as an edge term is bilinear
 in its endpoints' values, an edge sum is a vector over each vertex half's
 table plus an integer matrix product, formed a block of most significant
 rows at a time in row-major order (counter order) in O(3^(n/2)) memory.
 Each block is one product, the half sums folded in as two extra columns.
-Arithmetic: that product is a float64 BLAS product when the sum over
-columns of the two tables' largest |entry| products is below 2^53, so every
-partial sum is an integer float64 holds exactly; otherwise it is numpy's
-integer product in int64, or in Python ints once a sum may pass int64.
-Ratios are compared by integer cross-multiplication, in int64 while every
-numerator times every denominator fits, else in Python ints; in int64, a
-block's float ratios first pick out the few entries that can be its least.
+Each search chooses its arithmetic once, from a bound on every value it
+forms, known before any table is built: below 2^53 its tables, blocks and
+denominators are float64, whose integers are exact in any summation order,
+so a block is one BLAS product; otherwise they are numpy object arrays of
+Python ints.  Ratios are compared by cross-multiplication in Python ints;
+in float64, a block's float ratios first pick out the few entries that can
+be its least.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import EmptyGraphError, TooLargeError
-from .flow import build_network, is_saturating, max_flow
+from .flow import _checked_k, build_network, is_saturating, max_flow
 from .graph import Ratio, SignVector, WeightedGraph, build_auxiliary_graph
 
 # Entries per block (at least one row).  Each of a block's few temporaries
@@ -69,40 +68,19 @@ def _half_sums(edges, tables, term, dtype):
     return sums, W
 
 
-def _sum_dtype(bound: int):
-    """int64 when every sum and product stays within ``bound``, else exact
-    Python ints (numpy object arrays), since int64 wraps silently."""
-    return np.int64 if bound < 2**63 else object
+def _exact_dtype(bound: int):
+    """float64 when no partial sum a search forms passes ``bound`` < 2^53,
+    so every sum is an exact integer in any order; else Python ints."""
+    return np.float64 if bound < 2**53 else object
 
 
-def _product_bound(A, B) -> int:
-    """sum over columns j of max |A[:, j]| * max |B[:, j]|, exactly: no
-    partial sum of A @ B.T is larger."""
-    return sum(int(a) * int(b) for a, b in zip(np.abs(A).max(axis=0), np.abs(B).max(axis=0)))
-
-
-def _block_sums(P, s_hi, Q, s_lo, dtype, ints: bool):
-    """block(r) = s_hi[r, None] + s_lo + P[r] @ Q.T over integer tables,
-    exactly, as the one product of A = [P | s_hi | 1] and B = [Q | 1 | s_lo].
-
-    The route is decided once, from the tables: when the sum over columns j
-    of max |A[:, j]| * max |B[:, j]| is below 2^53, every product and
-    partial sum is an integer
-    below 2^53, which float64 holds exactly in any summation order, so a
-    BLAS product serves; its block is float64, or with ``ints`` converted
-    through int64 to ``dtype`` (an object block holds Python ints).
-    Otherwise the block is numpy's own product in ``dtype``, which has no
-    BLAS kernel.
-    """
+def _block_sums(P, s_hi, Q, s_lo, dtype):
+    """block(r) = s_hi[r, None] + s_lo + P[r] @ Q.T, as the one product of
+    A = [P | s_hi | 1] and B = [Q | 1 | s_lo] in ``dtype``: a BLAS product
+    in float64, numpy's own product over Python ints in object arrays."""
     A = np.column_stack([P, s_hi, np.ones(len(P), dtype)]).astype(dtype)
-    B = np.column_stack([Q, np.ones(len(Q), dtype), s_lo]).astype(dtype)
-    if _product_bound(A, B) >= 2**53:
-        Bt = B.T
-        return lambda r: A[r] @ Bt
-    A, Bt = A.astype(np.float64), B.T.astype(np.float64)
-    if not ints:
-        return lambda r: A[r] @ Bt
-    return lambda r: (A[r] @ Bt).astype(np.int64).astype(dtype, copy=False)
+    Bt = np.column_stack([Q, np.ones(len(Q), dtype), s_lo]).astype(dtype).T
+    return lambda r: A[r] @ Bt
 
 
 def _checked_weights(graph, b) -> list[int]:
@@ -132,18 +110,14 @@ def brute_beta(graph, b=None) -> tuple[Ratio, SignVector]:
     contribute |2 x_i|); n <= 16.  Vectors run in ternary counter order
     (digits 0, 1, 2 as 0, +1, -1; vertex 0 most significant), those whose
     first nonzero entry is -1 skipped (x ~ -x), and one replaces the best
-    only when strictly smaller, by integer cross-multiplication: in int64
-    while a numerator (at most 2 w(E), and at least 1 in the bound) times a
-    denominator (at most b(V)) fits, else in Python ints.  The high half
-    is vertices [0, n/2); an edge between the halves adds
-    x_u x_v + |x_u| (1 - |x_v|) + |x_v|.  Each block's numerators are one
-    product: float64 BLAS while its tables' column bound (see
-    ``_block_sums``) is below 2^53, else int64 or Python ints.  In int64,
-    the float ratios num / den, within 2^-50 of the exact ones, first keep
-    only the entries within 2^-48 of the block's least, which alone can be
-    least; those few are compared exactly, as Python ints.  In Python ints,
-    every entry below the best is compared, and a float block is converted
-    through int64, never through Python floats.
+    only when strictly smaller, by integer cross-multiplication in Python
+    ints.  The high half is vertices [0, n/2); an edge between the halves
+    adds x_u x_v + |x_u| (1 - |x_v|) + |x_v|.  The tables, each block's
+    numerators (one product) and the denominators are float64 while
+    max(3 w(E), b(V)) is below 2^53, else Python ints.  In float64 the
+    ratios num / den are within 2^-53 of the exact ones, and only the
+    entries within 2^-48 of the block's least, which alone can be least,
+    are compared exactly.  In Python ints, every entry below the best is.
 
     ``b`` defaults to a WeightedGraph's own weights; ValueError unless it
     holds n integers >= 1, or when a DemandMultigraph comes without it.
@@ -172,17 +146,18 @@ def _brute_ratio(graph, b, one_sided: bool) -> tuple[Ratio, SignVector]:
     if (n := graph.n) > 16:
         raise TooLargeError(f"brute_beta enumerates 3^n vectors; n = {n} > 16")
     b_list = _checked_weights(graph, b)
-    # The denominators alone reach b(V), which must fit even with no edges.
-    dtype = _sum_dtype(max(2 * sum(w for _, _, w in graph.weighted_edges()), 1) * sum(b_list))
+    # No partial sum passes max(3 w(E), b(V)) in size: an edge within a
+    # half adds at most 2 w to a numerator, one between the halves x_u x_v,
+    # |x_u| (1 - |x_v|) and |x_v|, at most w each; a denominator is <= b(V).
+    dtype = _exact_dtype(max(3 * sum(w for _, _, w in graph.weighted_edges()), sum(b_list)))
     b_arr, h = np.asarray(b_list, dtype=dtype), n // 2
     hi, lo = _table(h, _SIGNS), _table(n - h, _SIGNS)
     (num_hi, num_lo), W = _half_sums(graph.weighted_edges(), (hi, lo),
                                      lambda s, t: np.abs(s + t), dtype)
     num_lo += np.abs(lo).astype(dtype) @ W.sum(axis=0)
     Q = np.concatenate([lo.astype(dtype) @ W.T, (1 - np.abs(lo)).astype(dtype) @ W.T], axis=1)
-    by_floats = dtype is np.int64  # float ratios narrow each block first
-    block = _block_sums(np.concatenate([hi, np.abs(hi)], axis=1), num_hi, Q, num_lo, dtype,
-                        ints=not by_floats)
+    by_floats = dtype is np.float64  # float ratios narrow each block first
+    block = _block_sums(np.concatenate([hi, np.abs(hi)], axis=1), num_hi, Q, num_lo, dtype)
     # Each support's weight as a sum of its two halves' weights: b(P ∪ N),
     # or b(P) and b(N) when one-sided, whose larger one is the denominator.
     supports = (lambda t: t == 1, lambda t: t == -1) if one_sided else (np.abs,)
@@ -217,22 +192,22 @@ def brute_maxcut(G: WeightedGraph) -> tuple[Ratio, frozenset[int]]:
     Mask s puts vertex i in the side when bit i is set; vertex n-1 is pinned
     out, and masks 0..2^(n-1)-1 are scanned in order, one replacing the best
     only when its cut is strictly larger.  The low bits are vertices [0, h);
-    an edge between the halves adds y_u (1 - y_v) + (1 - y_u) y_v.  Each
-    block's cut weights are one product: float64 BLAS while its tables'
-    column bound is below 2^53 (its argmax read on the exact float block),
-    else int64 or Python ints.  Every table entry is nonnegative, so that
-    bound is at most 2 w(E).
+    an edge between the halves adds y_u (1 - y_v) + (1 - y_u) y_v.  The
+    tables and each block's cut weights (one product) are float64 while
+    2 w(E) is below 2^53, the argmax read on the exact float block, else
+    Python ints.
     """
     if (n := G.n) > 20:
         raise TooLargeError(f"brute_maxcut enumerates 2^(n-1) sides; n = {n} > 20")
     if (total := G.total_weight) == 0:
         raise EmptyGraphError("max cut of an edgeless graph is undefined")
-    dtype, h = _sum_dtype(total), (n - 1) // 2
+    # Every term is nonnegative, and an edge adds at most w to its half's
+    # sum or to each of Q's two columns of its high end: no sum passes 2 w(E).
+    dtype, h = _exact_dtype(2 * total), (n - 1) // 2
     lo, hi = _table(h, (0, 1))[:, ::-1], _table(n - h, (0, 1))[:2 ** (n - 1 - h), ::-1]
     (cut_lo, cut_hi), W = _half_sums(G.weighted_edges(), (lo, hi), np.not_equal, dtype)
     Q = np.concatenate([lo.astype(dtype) @ W, (1 - lo).astype(dtype) @ W], axis=1)
-    block = _block_sums(np.concatenate([1 - hi, hi], axis=1), cut_hi, Q, cut_lo, dtype,
-                        ints=False)
+    block = _block_sums(np.concatenate([1 - hi, hi], axis=1), cut_hi, Q, cut_lo, dtype)
     best_w, best_mask, step = -1, 0, max(1, _BLOCK // len(lo))
     for start in range(0, len(hi), step):
         cut = block(slice(start, start + step))
@@ -254,7 +229,7 @@ def iter_symmetric_pairs(n: int) -> Iterator[tuple[frozenset[int], frozenset[int
 # so that y_i = [i+ in X] - [i- in X] reads 0, +1, -1, 0.  An edge (u, v) of G
 # becomes (u+, v-) and (v+, u-); it cuts [u+ in X] != [v- in X] plus the mirror.
 _PLUS, _MINUS = np.arange(4) & 1, np.arange(4) >> 1
-_CROSS = (_PLUS[:, None] != _MINUS).astype(np.int64)
+_CROSS = (_PLUS[:, None] != _MINUS).astype(np.int8)
 _EDGE_CUT = _CROSS + _CROSS.T
 
 
@@ -292,31 +267,30 @@ def brute_well_linked(G: WeightedGraph, k: int = 1):
     confirmed by one max-flow on its selection network: AssertionError if
     that flow saturates.
 
-    A y with k c(y) >= b(V) is never violated and is dropped first, so
-    every value compared is an integer below 2 b(V), and each block is a
-    product on the route ``_block_sums`` picks (float64 BLAS, int64 or
-    Python ints).  ValueError unless k is a positive integer; n <= 7.
+    A y with k c(y) >= b(V) is never violated and is dropped first.  The
+    cut table and each block (one product) are float64 while
+    2 max(w(E), b(V)) is below 2^53, else Python ints.  ValueError unless
+    k is a positive integer; n <= 7.
     """
     if (n := G.n) > 7:
         raise TooLargeError(f"brute_well_linked enumerates 4^n copy sets; n = {n} > 7")
-    if k < 1 or int(k) != k:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    b_V, w_E = sum(G.b), G.total_weight
-    c = _cut_values(G, _sum_dtype(2 * w_E))
+    k, b_V = _checked_k(k), sum(G.b)
+    # A cut of H is at most 2 w(E), and every sum compared below is under
+    # 2 b(V): |(b∘x)·y| <= b(V), and a kept y has k c(y) < b(V).
+    dtype = _exact_dtype(2 * max(G.total_weight, b_V))
+    c = _cut_values(G, dtype)
     # Only a y with k c(y) < b(V) can be violated; past b(V), k changes nothing.
-    kk = min(int(k), b_V)
-    kept = np.flatnonzero(c < min(-(-b_V // kk), 2 * w_E + 1))
-    dtype = _sum_dtype(2 * b_V)
+    kk = min(k, b_V)
+    kept = np.flatnonzero(c < -(-b_V // kk))
     b, Y = np.asarray(G.b, dtype), _table(n, _SIGNS)
-    kc = kk * c[kept].astype(dtype)
+    kc = kk * c[kept]
     over = np.abs(Y[kept]).astype(dtype) @ b > kc
     if not over.any():
         return True, None
     ys, kc = Y[kept[over]], kc[over]
     # Rows [3^j, 2 * 3^j) are the x whose first nonzero entry is +1.
     rows = np.concatenate([np.arange(3**j, 2 * 3**j) for j in range(n)])
-    block = _block_sums(Y[rows].astype(dtype) * b, np.zeros(len(rows), dtype), ys, -kc, dtype,
-                        ints=False)
+    block = _block_sums(Y[rows].astype(dtype) * b, np.zeros(len(rows), dtype), ys, -kc, dtype)
     step = max(1, _BLOCK // len(ys))
     for start in range(0, len(rows), step):
         hit = np.flatnonzero((block(slice(start, start + step)) > 0).any(axis=1))

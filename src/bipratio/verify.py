@@ -20,7 +20,7 @@ from .errors import RoundFail
 from .flow import build_network, consistent_min_cut, cut_capacity, decompose_flow, \
     is_saturating, max_flow
 from .game import Certificate, GameParams, approx_bipartiteness, cut_matching_game
-from .generators import _patch_isolated, planted_bipartite
+from .generators import _gnp_edges, _patch_isolated, planted_bipartite
 from .graph import WeightedGraph, aux_cut_ratio, build_auxiliary_graph, \
     evaluate_beta, tripartition
 from .maxcut import recursive_bipart
@@ -37,11 +37,7 @@ def random_test_graph(rng: np.random.Generator, n: int, w_max: int = 3,
                       p: float = 0.5, random_b: bool = False,
                       b_max: int = 4) -> WeightedGraph:
     """Random graph with no isolated vertex; b is degrees or random."""
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j, int(rng.integers(1, w_max + 1))))
+    edges = _gnp_edges(rng, n, p, w_max)
     if n >= 2:
         edges = _patch_isolated(n, edges)
     b = tuple(int(x) for x in rng.integers(1, b_max + 1, size=n)) if random_b else None

@@ -21,7 +21,8 @@ from bipratio import (
     max_flow,
 )
 from bipratio.flow import FlowPath, cut_capacity
-from bipratio.oracle import iter_symmetric_pairs
+from bipratio.game import cut_matching_game
+from bipratio.oracle import brute_well_linked, iter_symmetric_pairs
 from bipratio.verify import random_test_graph
 
 
@@ -88,6 +89,15 @@ def test_network_rejects_bad_selection(k3):
         build_network(aux, set(), set(), 1)
     with pytest.raises(ValueError):
         build_network(aux, {0}, {0}, 1)
+
+
+@pytest.mark.parametrize("k", [float("inf"), float("nan"), 1.5, 0, -1])
+def test_every_entry_point_rejects_a_k_that_is_not_a_positive_integer(k, k3):
+    aux = build_auxiliary_graph(k3)
+    for call in (lambda: build_network(aux, [0], [], k), lambda: cut_matching_game(k3, k),
+                 lambda: brute_well_linked(k3, k)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_bottleneck_path_network():

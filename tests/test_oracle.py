@@ -126,7 +126,7 @@ def test_iff_on_tiny_corpus():
 
 
 def test_brute_beta_large_weights_stay_exact():
-    # 2 w(E) * b(V) is past int64 here; the minimum is x = (1, -1, 1).
+    # Weights 10^10 against 1; the minimum is x = (1, -1, 1).
     G = WeightedGraph(3, ((0, 1, 10**10), (1, 2, 10**10), (0, 2, 1)))
     beta, x = brute_beta(G)
     assert beta == Fraction(1, 20000000001) == evaluate_beta(G, x)
@@ -134,7 +134,7 @@ def test_brute_beta_large_weights_stay_exact():
 
 
 def test_brute_beta_edgeless_heavy_weights_stay_exact():
-    # With no edges 2 w(E) b(V) is 0, but the denominators still reach b(V).
+    # With no edges 3 w(E) is 0, but the denominators still reach b(V).
     assert brute_beta(WeightedGraph(2, (), (2**63, 1))) == (0, (0, 1))
 
 
@@ -238,7 +238,8 @@ def _reference_well_linked(G, k):
 def _random_multigraph(rng, n, w_max):
     """Random edges drawn with replacement (so parallel edges occur) and
     random vertex weights, which keeps isolated vertices legal.  Weights
-    near 1e10 put 2 w(E) b(V) past int64."""
+    near 1e10 still run in float64; those near 2^60 put 3 w(E) or b(V)
+    past 2^53, onto Python ints."""
     pairs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
              for _ in range(int(rng.integers(1, 2 * n + 1)))] if n > 1 else []
     edges = tuple((u, v, int(rng.integers(1, w_max + 1))) for u, v in pairs)
@@ -254,39 +255,41 @@ def blocks(request, monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 10))
-def test_brute_beta_matches_reference(n, blocks):
+def test_brute_beta_matches_reference(n, blocks, bounds):
     rng = np.random.default_rng([31, n])
-    for w_max in (1, 4, 10**10):
+    for w_max in (1, 4, 10**10, 2**60):
         G = _random_multigraph(rng, n, w_max)
         assert brute_beta(G) == _reference_beta(G, G.b)
         b = tuple(int(x) for x in rng.integers(1, 7, size=n))
         assert brute_beta(G, b) == _reference_beta(G, b)
+    assert min(bounds) < 2**53 <= max(bounds)  # both tiers ran
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_brute_beta_one_sided_matches_reference(n, blocks):
+def test_brute_beta_one_sided_matches_reference(n, blocks, bounds):
     rng = np.random.default_rng([38, n])
-    for w_max in (1, 4, 10**10):
+    for w_max in (1, 4, 10**10, 2**60):
         G = _random_multigraph(rng, n, w_max)
         assert brute_beta_one_sided(G) == _reference_beta(G, G.b, one_sided=True)
         b = tuple(int(x) for x in rng.integers(1, 7, size=n))
         assert brute_beta_one_sided(G.with_b(b)) == _reference_beta(G, b, one_sided=True)
+    assert min(bounds) < 2**53 <= max(bounds)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
-def test_brute_maxcut_matches_reference(n, blocks):
+def test_brute_maxcut_matches_reference(n, blocks, bounds):
     rng = np.random.default_rng([32, n])
-    for w_max in (1, 4, 2**62):
+    for w_max in (1, 4, 2**62, 2**60):
         G = _random_multigraph(rng, n, w_max)
         assert brute_maxcut(G) == _reference_maxcut(G)
+    assert min(bounds) < 2**53 <= max(bounds)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_brute_well_linked_matches_reference(n, monkeypatch):
-    # Weights past 2^53 and past int64 move the cut pass onto the int64 and
-    # Python-int routes; k = 2^40 and 2^70 reach and pass b(V).  Vertex n-1
-    # is isolated in the second graph of each pair.  Blocks of 5 entries
-    # take one row each.
+    # Weights past 2^53 and past int64 move the search onto Python ints;
+    # k = 2^40 and 2^70 reach and pass b(V).  Vertex n-1 is isolated in the
+    # second graph of each pair.  Blocks of 5 entries take one row each.
     rng = np.random.default_rng([33, n])
     for w_max in (3, 2**55, 2**62):
         for _ in range(2 if n < 7 else 1):
@@ -329,15 +332,17 @@ def test_mirrored_selection_has_the_same_max_flow(n):
 
 @pytest.fixture
 def bounds(monkeypatch):
-    """Every product bound the searches compute; below 2^53 a block is one
-    float64 BLAS product, from 2^53 on numpy's integer product."""
-    seen, product_bound = [], oracle._product_bound
+    """Every bound a search chooses its arithmetic by, each checked to choose
+    float64 (BLAS blocks) below 2^53 and Python ints from 2^53 on."""
+    seen, exact_dtype = [], oracle._exact_dtype
 
-    def spy(A, B):
-        seen.append(bound := product_bound(A, B))
-        return bound
+    def spy(bound):
+        seen.append(bound)
+        dtype = exact_dtype(bound)
+        assert (dtype is np.float64) == (bound < 2**53), bound
+        return dtype
 
-    monkeypatch.setattr(oracle, "_product_bound", spy)
+    monkeypatch.setattr(oracle, "_exact_dtype", spy)
     return seen
 
 
@@ -357,8 +362,8 @@ _SEARCHES = {
 @pytest.mark.parametrize("search", sorted(_SEARCHES))
 def test_searches_stay_exact_on_both_sides_of_the_blas_bound(search, bounds, blocks):
     # The largest weight of one heavy edge that keeps the bound below 2^53,
-    # and the next weight, which moves the search onto the integer route:
-    # both routes run, on both sides of the boundary.
+    # and the next weight, which moves the search onto Python ints: both
+    # tiers run, on both sides of the boundary.
     run, reference = _SEARCHES[search]
     rng = np.random.default_rng([39, len(search)])
     for n in (3, 5, 8):
@@ -382,18 +387,27 @@ def test_searches_stay_exact_on_both_sides_of_the_blas_bound(search, bounds, blo
             assert 2**52 < bounds[-1] < 2**54
 
 
-def test_ratio_search_takes_the_blas_route_on_the_object_tier(bounds, blocks):
-    # Vertex weights near 10^300 put b(V) past int64, while the numerators
-    # stay small: the BLAS block reaches the cross-multiplied comparisons
-    # as Python ints, and weights that differ in their last digit still tell
-    # the ratios apart.
+def test_ratio_search_stays_exact_when_only_the_vertex_weights_are_huge(bounds, blocks):
+    # Vertex weights near 10^300 put b(V) past 2^53 while the numerators
+    # stay small: the whole search runs in Python ints, and weights that
+    # differ in their last digit still tell the ratios apart.
     G = WeightedGraph(5, ((0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 4, 1), (0, 4, 1), (1, 3, 2)))
     for b in ((10**300, 10**300 + 1, 10**300 - 1, 10**300 + 2, 10**300),
               (3, 10**300, 1, 10**300 + 7, 2)):
         bounds.clear()
         assert brute_beta(G, b) == _reference_beta(G, b)
         assert brute_beta_one_sided(G.with_b(b)) == _reference_beta(G, b, one_sided=True)
-        assert max(bounds) < 2**53
+        assert min(bounds) >= 2**53
+
+
+def test_every_search_chooses_its_arithmetic_once(bounds):
+    # One choice per call, on either tier.
+    searches = [brute_beta, brute_beta_one_sided, brute_maxcut, brute_well_linked]
+    for G in (complete(4), _heavy_edge(complete(4), 2**60), complete(5).with_b((2**60,) * 5)):
+        for run in searches:
+            bounds.clear()
+            run(G)
+            assert len(bounds) == 1, (run.__name__, G)
 
 
 @pytest.mark.parametrize("w", [2**63 - 1, 2**63 + 1, 10**300])
